@@ -1,489 +1,169 @@
-(* Benchmark-regression guard: diff two committed benchmark witnesses
-   (BENCH_stm.json, BENCH_parallel.json, BENCH_reduction.json or
-   BENCH_serve.json) and flag throughput regressions beyond the
-   threshold.  Exposed as `tmx bench-compare OLD NEW`; CI wires it into
-   the exhaustive job as a warn-only step.
+(* Benchmark-regression guard: compare two perfbench records metric by
+   metric, with each metric's direction and end-to-end bound taken from
+   the benchmark manifest.  Exposed as `tmx bench-compare OLD NEW`; CI
+   runs it on a same-host pair of records (the parent commit's and the
+   pushed commit's). *)
 
-   The threshold lives here and only here. *)
+module Json = Tmx_service.Json
 
 let default_threshold = 0.25
 
-(* -- a minimal JSON reader ---------------------------------------------------
-
-   The two witness schemas are flat and generated by this repo, so a
-   small recursive-descent parser keeps the package free of a JSON
-   dependency (the container image pins the dependency set). *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Fmt.str "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Fmt.str "expected %c" c)
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'u' ->
-              (* witnesses never emit \u, but skip it safely *)
-              pos := !pos + 4;
-              Buffer.add_char buf '?'
-          | Some c -> Buffer.add_char buf c
-          | None -> fail "unterminated escape");
-          advance ();
-          go ()
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let numchar c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when numchar c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-let to_num = function Some (Num f) -> Some f | _ -> None
-let to_str = function Some (Str s) -> Some s | _ -> None
-
-(* -- metric extraction -------------------------------------------------------- *)
-
-(* Every metric is normalized to a throughput (higher is better): the
-   STM witness reports commits/s directly; the parallel-enumeration
-   witness reports seconds, inverted here. *)
-
-type metric = { key : string; old_value : float; new_value : float }
-
-(* commits_per_sec per run, plus — when the witness carries the
-   abort_rate field (schemas from the four-mode bench onwards) — the
-   commit ratio [1 - abort_rate], so a contention regression is visible
-   even when raw throughput masks it.  Witnesses predating the field
-   just contribute no such key: compare only flags keys of OLD missing
-   from NEW, so old-vs-new stays comparable in both directions. *)
-let stm_metrics j =
-  match member "runs" j with
-  | Some (Arr runs) ->
-      List.concat_map
-        (fun run ->
-          match
-            ( to_str (member "workload" run),
-              to_str (member "mode" run),
-              to_str (member "policy" run) )
-          with
-          | Some w, Some m, Some p ->
-              List.filter_map
-                (fun x -> x)
-                [
-                  Option.map
-                    (fun v -> (Fmt.str "%s/%s/%s commits_per_sec" w m p, v))
-                    (to_num (member "commits_per_sec" run));
-                  Option.map
-                    (fun r -> (Fmt.str "%s/%s/%s commit_ratio" w m p, 1. -. r))
-                    (to_num (member "abort_rate" run));
-                ]
-          | _ -> [])
-        runs
-  | _ -> []
-
-(* the repair-cost entries (schemas from the repair bench onwards): the
-   fenced throughput, the fence count (a determinism witness — the same
-   config must execute the same number of quiescence fences), and the
-   fence efficiency [1 - overhead] = fenced/unfenced ratio, so a fence
-   getting relatively more expensive is flagged like any other
-   regression.  Older witnesses contribute no such keys. *)
-let stm_repair_metrics j =
-  match member "repair_cost" j with
-  | Some (Arr entries) ->
-      List.concat_map
-        (fun e ->
-          match (to_str (member "mode" e), to_str (member "policy" e)) with
-          | Some m, Some p ->
-              List.filter_map
-                (fun x -> x)
-                [
-                  Option.map
-                    (fun v -> (Fmt.str "repair_cost/%s/%s fences" m p, v))
-                    (to_num (member "fences" e));
-                  Option.map
-                    (fun v ->
-                      (Fmt.str "repair_cost/%s/%s fenced_per_sec" m p, v))
-                    (to_num (member "fenced_per_sec" e));
-                  Option.map
-                    (fun o ->
-                      (Fmt.str "repair_cost/%s/%s fence_efficiency" m p, 1. -. o))
-                    (to_num (member "fence_overhead" e));
-                ]
-          | _ -> [])
-        entries
-  | _ -> []
-
-let parallel_metrics j =
-  List.concat_map
-    (fun section ->
-      match member section j with
-      | Some sec ->
-          List.filter_map
-            (fun field ->
-              Option.map
-                (fun seconds -> (Fmt.str "%s/%s throughput" section field, 1. /. seconds))
-                (to_num (member field sec)))
-            [ "seconds_sequential"; "seconds_parallel" ]
-      | None -> [])
-    [ "verdict_matrix"; "stress_intra_run" ]
-
-(* The serve_cache witness (BENCH_serve.json): cold/warm catalog
-   throughput, plus the warm hit rate — a rate, not a throughput, but
-   likewise higher-is-better, so the same regression rule applies (a
-   hit-rate drop past the threshold is flagged; CI runs warn-only). *)
-let serve_metrics j =
-  List.filter_map
-    (fun x -> x)
-    [
-      Option.map
-        (fun s -> ("serve/cold throughput", 1. /. s))
-        (to_num (member "cold_s" j));
-      Option.map
-        (fun s -> ("serve/warm throughput", 1. /. s))
-        (to_num (member "warm_s" j));
-      Option.map
-        (fun r -> ("serve/warm hit_rate", r))
-        (to_num (member "hit_rate_warm" j));
-    ]
-
-(* The reduction witness (BENCH_reduction.json): per-strategy wall-clock
-   inverted to throughput, and per-strategy explored-state counts
-   inverted to a "pruning" rate (scaled so the numbers print on the same
-   footing) — a pruning regression shows up as that rate dropping, the
-   same higher-is-better rule as every other metric.  Both the
-   catalog-matrix section and each frontier entry carry the same
-   { "seconds": {...}, "explored": {...} } shape, keyed by strategy. *)
-let reduction_strategies = [ "none"; "dpor"; "dpor+sym" ]
-
-let reduction_section prefix sec =
-  List.concat_map
-    (fun strat ->
-      List.filter_map
-        (fun x -> x)
-        [
-          Option.map
-            (fun s -> (Fmt.str "%s/%s throughput" prefix strat, 1. /. s))
-            (to_num (member strat (Option.value ~default:Null (member "seconds" sec))));
-          Option.map
-            (fun e -> (Fmt.str "%s/%s pruning" prefix strat, 1e6 /. e))
-            (to_num (member strat (Option.value ~default:Null (member "explored" sec))));
-        ])
-    reduction_strategies
-
-let reduction_metrics j =
-  let catalog =
-    match member "catalog_matrix" j with
-    | Some sec -> reduction_section "catalog_matrix" sec
-    | None -> []
-  in
-  let frontier =
-    match member "frontier" j with
-    | Some (Arr entries) ->
-        List.concat_map
-          (fun e ->
-            match to_str (member "name" e) with
-            | Some name -> reduction_section (Fmt.str "frontier/%s" name) e
-            | None -> [])
-          entries
-    | _ -> []
-  in
-  catalog @ frontier
-
-(* The loadgen witness (BENCH_loadgen.json): one entry per shard count,
-   each with a throughput, a hit rate, and latency percentiles — the
-   percentiles are inverted to a responsiveness (1/ms) so every key
-   stays higher-is-better.  The byte-identity oracle verdict rides
-   along as a 0/1 metric: an oracle break in NEW is a 100% drop, far
-   past any threshold. *)
-let loadgen_metrics j =
-  let per_shard =
-    match member "shards" j with
-    | Some (Arr entries) ->
-        List.concat_map
-          (fun e ->
-            match to_num (member "shards" e) with
-            | None -> []
-            | Some n ->
-                let prefix = Fmt.str "shards=%d" (int_of_float n) in
-                List.filter_map
-                  (fun x -> x)
-                  [
-                    Option.map
-                      (fun v -> (Fmt.str "%s throughput_rps" prefix, v))
-                      (to_num (member "throughput_rps" e));
-                    Option.map
-                      (fun v -> (Fmt.str "%s hit_rate" prefix, v))
-                      (to_num (member "hit_rate" e));
-                    Option.map
-                      (fun v ->
-                        (Fmt.str "%s p95_responsiveness" prefix, 1. /. Float.max 1e-9 v))
-                      (to_num (member "p95_ms" e));
-                    Option.map
-                      (fun v ->
-                        (Fmt.str "%s p99_responsiveness" prefix, 1. /. Float.max 1e-9 v))
-                      (to_num (member "p99_ms" e));
-                  ])
-          entries
-    | _ -> []
-  in
-  let oracle =
-    match member "oracle" j with
-    | Some o -> (
-        match member "identical" o with
-        | Some (Bool b) -> [ ("oracle identical", if b then 1.0 else 0.0) ]
-        | _ -> [])
-    | None -> []
-  in
-  per_shard @ oracle
-
-(* The arch_fence_penalty witness (BENCH_arch.json): per-architecture
-   fenced throughput and fence efficiency [1 - penalty] (both
-   higher-is-better), plus the machine-checked section-6 claims as 0/1
-   keys — a claim flipping false reads as a total regression.  CI keeps
-   the fence-penalty keys warn-only: the emulated fence cost is
-   host-dependent scheduler-noise territory, unlike the boolean claims. *)
-let arch_metrics j =
-  let runs =
-    match member "runs" j with
-    | Some (Arr runs) ->
-        List.concat_map
-          (fun run ->
-            match (to_str (member "arch" run), to_str (member "workload" run))
-            with
-            | Some a, Some w ->
-                List.filter_map
-                  (fun x -> x)
-                  [
-                    Option.map
-                      (fun v -> (Fmt.str "arch/%s/%s fenced_per_sec" a w, v))
-                      (to_num (member "fenced_per_sec" run));
-                    Option.map
-                      (fun p ->
-                        (Fmt.str "arch/%s/%s fence_efficiency" a w, 1. -. p))
-                      (to_num (member "penalty" run));
-                  ]
-            | _ -> [])
-          runs
-    | _ -> []
-  in
-  let claims =
-    match member "claims" j with
-    | Some (Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Bool b -> Some (Fmt.str "claims/%s" k, if b then 1.0 else 0.0)
-            | Num n -> Some (Fmt.str "claims/%s" k, n)
-            | _ -> None)
-          fields
-    | _ -> []
-  in
-  runs @ claims
-
-let metrics_of j =
-  match to_str (member "experiment" j) with
-  | Some "stm_runtime_contention" -> Ok (stm_metrics j @ stm_repair_metrics j)
-  | Some "arch_fence_penalty" -> Ok (arch_metrics j)
-  | Some "parallel_enumeration_speedup" -> Ok (parallel_metrics j)
-  | Some "reduction_speedup" -> Ok (reduction_metrics j)
-  | Some "serve_cache" -> Ok (serve_metrics j)
-  | Some "serve_loadgen" -> Ok (loadgen_metrics j)
-  | Some other -> Error (Fmt.str "unknown experiment %S" other)
-  | None -> Error "no \"experiment\" field"
-
-(* -- comparison ---------------------------------------------------------------- *)
-
-type verdict = {
-  threshold : float;
-  metrics : metric list;  (** every key present in both files *)
-  regressions : metric list;  (** new < old * (1 - threshold) *)
-  missing : string list;  (** keys of OLD absent from NEW *)
+type metric = {
+  name : string;
+  old_value : float;
+  new_value : float;
+  worse : float;  (* relative change in the bad direction; < 0 is better *)
+  bound : float;
+  gated : bool;  (* a regression of this metric fails the comparison *)
 }
 
-let regression ~threshold (m : metric) =
-  m.new_value < m.old_value *. (1. -. threshold)
+let regressed m = m.worse > m.bound
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+type verdict = {
+  metrics : metric list;  (* every measured metric of OLD that NEW reports *)
+  missing : string list;  (* gated metrics of OLD absent from NEW *)
+  failures : string list;  (* NEW's failed output checks *)
+  host_warnings : string list;  (* host fields that differ *)
+}
 
-(* [gate_keys] restricts the comparison to keys containing one of the
-   given substrings — CI gates only a witness's long-established keys
-   (say commits_per_sec and commit_ratio) while newer, noisier keys
-   stay warn-only in a separate full run. *)
-let key_selected gate_keys key =
-  match gate_keys with
-  | [] -> true
-  | subs ->
-      let contains sub =
-        let nk = String.length key and ns = String.length sub in
-        ns <= nk
-        && (let rec at i = i + ns <= nk && (String.sub key i ns = sub || at (i + 1)) in
-            at 0)
-      in
-      List.exists contains subs
+let ( let* ) = Result.bind
+let field conv key j = Option.bind (Json.mem key j) conv
+let list key j = Option.value ~default:[] (field Json.to_list key j)
 
-let compare_files ?(threshold = default_threshold) ?(gate_keys = []) old_path
-    new_path =
-  let load path =
-    match parse (read_file path) with
-    | exception Parse_error msg -> Error (Fmt.str "%s: %s" path msg)
-    | exception Sys_error msg -> Error msg
-    | j -> Result.map_error (fun e -> Fmt.str "%s: %s" path e) (metrics_of j)
+let read_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | s -> Result.map_error (fun e -> Fmt.str "%s: %s" path e) (Json.of_string s)
+
+(* metric name -> (higher is better, bound); per-layer metrics have no
+   bound in the manifest *)
+let read_manifest path =
+  let* j = read_json path in
+  let specs key =
+    List.filter_map
+      (fun m ->
+        match (field Json.to_str "name" m, field Json.to_str "better" m) with
+        | Some name, Some better ->
+            Some (name, (better = "higher", field Json.to_float_opt "bound" m))
+        | _ -> None)
+      (list key j)
   in
-  Result.bind (load old_path) (fun old_metrics ->
-      Result.map
-        (fun new_metrics ->
-          let old_metrics =
-            List.filter (fun (k, _) -> key_selected gate_keys k) old_metrics
-          in
-          let metrics, missing =
-            List.partition_map
-              (fun (key, old_value) ->
-                match List.assoc_opt key new_metrics with
-                | Some new_value -> Left { key; old_value; new_value }
-                | None -> Right key)
-              old_metrics
-          in
-          {
-            threshold;
-            metrics;
-            regressions = List.filter (regression ~threshold) metrics;
-            missing;
-          })
-        (load new_path))
+  match specs "end_to_end" @ specs "per_layer" with
+  | [] -> Error (path ^ ": no metrics listed")
+  | specs -> Ok specs
 
-let passed v = v.regressions = [] && v.missing = []
+let read_record path =
+  let* j = read_json path in
+  match Json.mem "record" j with
+  | Some r -> Ok r
+  | None -> Error (path ^ ": not a perfbench record")
 
-let pp_metric ~threshold ppf (m : metric) =
-  Fmt.pf ppf "%-48s %12.1f -> %12.1f  %+6.1f%%%s" m.key m.old_value m.new_value
-    (100. *. ((m.new_value /. m.old_value) -. 1.))
-    (if regression ~threshold m then "  <-- REGRESSION" else "")
+(* name -> (value, samples) *)
+let values r =
+  List.filter_map
+    (fun m ->
+      match (field Json.to_str "name" m, field Json.to_float_opt "value" m) with
+      | Some name, Some v ->
+          Some (name, (v, Option.value ~default:0 (field Json.to_int "samples" m)))
+      | _ -> None)
+    (list "metrics" r)
+
+(* the fields among [keys] on which two objects disagree, rendered *)
+let differing keys a b =
+  List.filter_map
+    (fun k ->
+      let show j = Option.fold ~none:"none" ~some:Json.to_string (Json.mem k j) in
+      let x = show a and y = show b in
+      if x = y then None else Some (Fmt.str "%s %s vs %s" k x y))
+    keys
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* relative change in the bad direction; from 0 any worsening is
+   unbounded *)
+let worsening ~higher ~old_value ~new_value =
+  let d = if higher then old_value -. new_value else new_value -. old_value in
+  if d = 0. then 0.
+  else if old_value = 0. then Float.copy_sign Float.infinity d
+  else d /. Float.abs old_value
+
+let manifest = "BENCHMARK.json"
+
+let compare_files ?(threshold = default_threshold) ?(gate_keys = []) old_path new_path =
+  let* specs = read_manifest manifest in
+  let* old_r = read_record old_path in
+  let* new_r = read_record new_path in
+  let* () =
+    match differing [ "workload"; "seed"; "trace" ] old_r new_r with
+    | [] -> Ok ()
+    | d -> Error ("the records measure different runs: " ^ String.concat ", " d)
+  in
+  let new_values = values new_r in
+  let gated name = gate_keys = [] || List.exists (contains name) gate_keys in
+  (* a layer that does no work on a workload reports 0 samples *)
+  let measured (name, (_, n)) =
+    n > 0
+    || match List.assoc_opt name new_values with Some (_, m) -> m > 0 | None -> true
+  in
+  let judge (name, (old_value, _)) =
+    match List.assoc_opt name specs with
+    | None -> Error (Fmt.str "%s: metric %S is not in %s" old_path name manifest)
+    | Some (higher, bound) ->
+        Ok
+          (match List.assoc_opt name new_values with
+          | None -> Either.Right name
+          | Some (new_value, _) ->
+              Left
+                {
+                  name;
+                  old_value;
+                  new_value;
+                  worse = worsening ~higher ~old_value ~new_value;
+                  bound = Option.value bound ~default:threshold;
+                  gated = gated name;
+                })
+  in
+  let* judged =
+    List.fold_right
+      (fun m acc ->
+        let* acc = acc in
+        let* j = judge m in
+        Ok (j :: acc))
+      (List.filter measured (values old_r))
+      (Ok [])
+  in
+  let metrics, missing = List.partition_map Fun.id judged in
+  let host r = Option.value ~default:Json.Null (Json.mem "host" r) in
+  Ok
+    {
+      metrics;
+      missing = List.filter gated missing;
+      failures = List.filter_map Json.to_str (list "failures" new_r);
+      host_warnings = differing [ "cores"; "cpu"; "ocaml" ] (host old_r) (host new_r);
+    }
+
+let passed v =
+  v.missing = [] && v.failures = []
+  && not (List.exists (fun m -> m.gated && regressed m) v.metrics)
+
+let pp_metric ppf m =
+  Fmt.pf ppf "%-34s %14.6g %14.6g %+8.1f%% %5g%%%s" m.name m.old_value m.new_value
+    (100. *. m.worse) (100. *. m.bound)
+    (if not (regressed m) then ""
+     else if m.gated then "  <-- REGRESSION"
+     else "  <-- regression (not gated)")
 
 let pp_verdict ppf v =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:cut (pp_metric ~threshold:v.threshold))
-    v.metrics;
-  List.iter (fun k -> Fmt.pf ppf "@,%-48s missing from NEW" k) v.missing;
-  Fmt.pf ppf "@,%d/%d metrics within the %.0f%%-regression threshold%s@."
-    (List.length v.metrics - List.length v.regressions)
-    (List.length v.metrics) (100. *. v.threshold)
+  let line fmt = Fmt.pf ppf (fmt ^^ "@.") in
+  List.iter (line "WARNING: host differs (%s); not judged") v.host_warnings;
+  line "%-34s %14s %14s %9s %6s" "metric" "old" "new" "worse" "bound";
+  List.iter (line "%a" pp_metric) v.metrics;
+  List.iter (line "%-34s missing from NEW  <-- FAIL") v.missing;
+  List.iter (line "NEW failed a check: %s  <-- FAIL") v.failures;
+  let within = List.filter (fun m -> not (regressed m)) v.metrics in
+  line "%d/%d metrics within their bounds%s" (List.length within)
+    (List.length v.metrics)
     (if passed v then "" else "  <-- FAIL")

@@ -1,34 +1,29 @@
 (** Benchmark-regression guard behind [tmx bench-compare].
 
-    Reads two benchmark witnesses of the same schema
-    ([BENCH_stm.json], [BENCH_parallel.json], [BENCH_reduction.json],
-    [BENCH_serve.json] or [BENCH_loadgen.json], auto-detected via their
-    ["experiment"] field), normalizes every measurement to a throughput
-    (higher is better), and reports the pairs where the new value fell
-    more than {!default_threshold} below the old one. *)
+    Compares two perfbench records
+    ([.perfbench/<workload>-seed<N>-trace<T>.json]) metric by metric.
+    Which direction is better, and the bound of each end-to-end metric,
+    come from the benchmark manifest ([BENCHMARK.json]); per-layer
+    metrics are judged at a threshold.  Records of different workloads,
+    seeds or trace settings are refused; a different host is reported as
+    a warning and not judged. *)
 
 val default_threshold : float
-(** 0.25 — the one place the 25% regression threshold is defined. *)
+(** 0.25, the bound of every per-layer metric unless the caller sets
+    another. *)
 
-type metric = { key : string; old_value : float; new_value : float }
-
-type verdict = {
-  threshold : float;
-  metrics : metric list;
-  regressions : metric list;
-  missing : string list;
-}
+type verdict
 
 val compare_files :
-  ?threshold:float ->
-  ?gate_keys:string list ->
-  string ->
-  string ->
-  (verdict, string) result
-(** [compare_files old new] — [Error] on unreadable or unrecognized
-    files.  A nonempty [gate_keys] restricts the comparison to keys
-    containing one of the given substrings, so CI can gate on a
-    witness's long-established keys while the rest stay warn-only. *)
+  ?threshold:float -> ?gate_keys:string list -> string -> string -> (verdict, string) result
+(** [compare_files old new], with the manifest read from [BENCHMARK.json]
+    in the working directory.  A nonempty [gate_keys] gates only the
+    metrics whose name contains one of the substrings; the others are
+    still shown and judged.  [Error] on unreadable files, a metric the
+    manifest does not list, or records that measure different runs. *)
 
 val passed : verdict -> bool
+(** No gated regression, no gated metric missing, and NEW lists no
+    failure. *)
+
 val pp_verdict : verdict Fmt.t

@@ -11,6 +11,7 @@
                                  race repair (fences / atomic promotion)
      tmx stm NAME                explore a program under the STM simulator
      tmx stm-bench               drive multi-domain workloads over the runtime STM
+     tmx bench-compare OLD NEW   judge two perfbench records against BENCHMARK.json
      tmx theorems [NAME ...]     run the theorem checks
      tmx models                  list the model configurations
      tmx show NAME               print a catalog program
@@ -663,7 +664,8 @@ let stm_cmd =
     if all then begin
       List.iter
         (fun (l : Tmx_litmus.Litmus.t) ->
-          let anomalies = Tmx_stmsim.Stmsim.anomalies ~config l.program in
+          let r = Tmx_stmsim.Stmsim.run ~config l.program in
+          let anomalies = Tmx_stmsim.Stmsim.anomalies r l.program in
           Fmt.pr "%-28s %-7s %d anomalies@." l.name
             (Tmx_stmsim.Stmsim.strategy_name strategy)
             (List.length anomalies))
@@ -681,7 +683,7 @@ let stm_cmd =
                   Fmt.pr "%d schedules explored, %d distinct outcomes@." r.paths
                     (List.length r.outcomes);
                   List.iter (fun o -> Fmt.pr "  %a@." Outcome.pp o) r.outcomes;
-                  let anomalies = Tmx_stmsim.Stmsim.anomalies ~config l.program in
+                  let anomalies = Tmx_stmsim.Stmsim.anomalies r l.program in
                   if anomalies = [] then
                     Fmt.pr "no anomalies vs the atomic reference@."
                   else begin
@@ -719,11 +721,6 @@ let stm_bench_cmd =
       value & opt int 1000
       & info [ "n"; "iters" ] ~docv:"N"
           ~doc:"Transactions per domain per stage.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_stm.json"
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
   in
   let mode_arg =
     Arg.(
@@ -768,19 +765,16 @@ let stm_bench_cmd =
             "Enable the per-domain event rings during the run and print the \
              tail of the merged trace.")
   in
-  let arch_out_arg =
+  let arch_flag =
     Arg.(
-      value
-      & opt (some string) None
-      & info [ "arch-out" ] ~docv:"FILE"
+      value & flag
+      & info [ "arch" ]
           ~doc:
-            "Also measure the per-architecture fence penalty (x86-TSO / \
-             ARMv8 DMB LD / C++ seq_cst fence emulations against an \
-             unfenced baseline) and write it, together with the \
-             machine-checked section-6 catalog claims, as an \
-             arch_fence_penalty JSON document (BENCH_arch.json in CI).")
+            "Also measure the per-architecture fence penalty: x86-TSO, \
+             ARMv8 DMB LD and C++ seq_cst fence emulations against an \
+             unfenced baseline.")
   in
-  let run domains iters out arch_out mode policy trace =
+  let run domains iters arch mode policy trace =
     let domains = max 1 domains and iters = max 1 iters in
     let modes =
       match mode with
@@ -814,59 +808,18 @@ let stm_bench_cmd =
         (fun i e -> if i >= n - 20 then Fmt.pr "%a@." Stm.Trace.pp_event e)
         events
     end;
-    let repair_cost = Stm_bench.repair_cost config in
-    List.iter (fun c -> Fmt.pr "%a@." Stm_bench.pp_fence_cost c) repair_cost;
-    Stm_bench.write_json ~repair_cost ~file:out config results;
-    Fmt.pr "wrote %s (%d runs)@." out (List.length results);
-    match arch_out with
-    | None -> ()
-    | Some file ->
-        let costs = Stm_bench.arch_fence_cost config in
-        List.iter (fun c -> Fmt.pr "%a@." Stm_bench.pp_arch_cost c) costs;
-        (* the section-6 claims, machine-checked over the catalog with
-           the same sweep `tmx arch table --all --check` runs *)
-        let aconfig =
-          { Enumerate.default_config with reduction = Enumerate.No_reduction }
-        in
-        let rows =
-          List.map
-            (fun (l : Tmx_litmus.Litmus.t) ->
-              Tmx_arch.Diff.rows ~config:aconfig l.program)
-            Tmx_litmus.Catalog.all
-        in
-        let count pred = List.length (List.filter pred (List.concat rows)) in
-        let bad arch =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = arch
-              && (r.imprecise || r.gap_fences <> None))
-        in
-        let armv8_open =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = Tmx_arch.Arch.Armv8
-              && (r.imprecise || r.gap_fences = Some None))
-        in
-        let armv8_gaps =
-          count (fun (r : Tmx_arch.Diff.row) ->
-              r.arch = Tmx_arch.Arch.Armv8 && r.gap_fences <> None)
-        in
-        let b v = if v then "true" else "false" in
-        let claims =
-          [
-            ("catalog_programs", string_of_int (List.length rows));
-            ("x86tso_strongest_validated", b (bad Tmx_arch.Arch.X86tso = 0));
-            ("x86tso_zero_fences", "true");
-            ("rc11_strongest_validated", b (bad Tmx_arch.Arch.Rc11 = 0));
-            ("armv8_gap_programs", string_of_int armv8_gaps);
-            ("armv8_gaps_closed", b (armv8_open = 0));
-          ]
-        in
-        Stm_bench.write_arch_json ~claims ~file config costs;
-        Fmt.pr "wrote %s (%d arch runs)@." file (List.length costs)
+    List.iter
+      (fun c -> Fmt.pr "%a@." Stm_bench.pp_fence_cost c)
+      (Stm_bench.repair_cost config);
+    if arch then
+      List.iter
+        (fun c -> Fmt.pr "%a@." Stm_bench.pp_arch_cost c)
+        (Stm_bench.arch_fence_cost config)
   in
   let term =
     Term.(
-      const run $ domains_arg $ iters_arg $ out_arg $ arch_out_arg $ mode_arg
-      $ policy_arg $ trace_flag)
+      const run $ domains_arg $ iters_arg $ arch_flag $ mode_arg $ policy_arg
+      $ trace_flag)
   in
   Cmd.v
     (Cmd.info "stm-bench"
@@ -874,8 +827,8 @@ let stm_bench_cmd =
          "Drive multi-domain workloads (read-heavy, write-heavy, \
           long-read, privatization-heavy) over the runtime STM for each \
           versioning mode (lazy, eager, partial, norec) and contention \
-          policy; print per-stage commit/abort/retry metrics and write \
-          BENCH_stm.json.")
+          policy; print per-stage commit/abort/retry metrics and the \
+          price of the privatization fence.")
     term
 
 (* -- fuzz --------------------------------------------------------------------- *)
@@ -1050,18 +1003,20 @@ let bench_compare_cmd =
   let old_arg =
     Arg.(
       required & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Committed benchmark witness.")
+      & info [] ~docv:"OLD" ~doc:"Baseline perfbench record.")
   in
   let new_arg =
     Arg.(
       required & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Freshly generated benchmark report.")
+      & info [] ~docv:"NEW" ~doc:"Perfbench record of the same workload, seed and trace.")
   in
   let threshold_arg =
     Arg.(
       value & opt float Compare.default_threshold
       & info [ "threshold" ] ~docv:"F"
-          ~doc:"Relative throughput-regression threshold (default 0.25).")
+          ~doc:
+            "Bound on the relative worsening of a per-layer metric (default \
+             0.25).  End-to-end metrics use their bound in BENCHMARK.json.")
   in
   let gate_keys_arg =
     Arg.(
@@ -1069,10 +1024,9 @@ let bench_compare_cmd =
       & opt (list string) []
       & info [ "gate-keys" ] ~docv:"SUBSTR,..."
           ~doc:
-            "Compare only metrics whose key contains one of these \
-             substrings — CI gates a witness's long-established keys \
-             (e.g. commits_per_sec,commit_ratio) and leaves the rest to \
-             a separate warn-only run.")
+            "Fail only on regressions of metrics whose name contains one of \
+             these substrings (default: every metric); the others are still \
+             shown and judged.")
   in
   let run threshold gate_keys old_file new_file =
     Result.map
@@ -1088,12 +1042,11 @@ let bench_compare_cmd =
   Cmd.v
     (Cmd.info "bench-compare"
        ~doc:
-         "Diff two benchmark witnesses (BENCH_stm.json, \
-          BENCH_parallel.json, BENCH_serve.json or BENCH_loadgen.json) \
-          and exit 1 on a throughput or cache-hit-rate regression beyond \
-          the threshold.  CI runs this warn-only against the committed \
-          witnesses, except the gated keys of BENCH_stm.json on pushes \
-          to main.")
+         "Compare two perfbench records (.perfbench/WORKLOAD-seedN-traceT.json) \
+          metric by metric, taking each metric's direction and end-to-end \
+          bound from ./BENCHMARK.json.  Exits 1 when a gated metric is worse \
+          than its bound or NEW lists failed checks; a different host is \
+          printed as a warning.")
     term
 
 (* -- theorems ----------------------------------------------------------------- *)
@@ -1844,8 +1797,8 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Also write the report as JSON in the BENCH_loadgen.json \
-             schema (experiment serve_loadgen).")
+            "Also write the report as a JSON document (experiment \
+             serve_loadgen).")
   in
   let rate_arg =
     Arg.(

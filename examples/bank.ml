@@ -101,6 +101,6 @@ let run_mode mode name =
 let () =
   run_mode Stm.Lazy "lazy";
   run_mode Stm.Eager "eager";
-  let commits, conflicts, user_aborts = Stm.stats_snapshot () in
-  Fmt.pr "totals: commits=%d conflicts=%d user-aborts=%d@." commits conflicts
-    user_aborts
+  let s = Stm.stats () in
+  Fmt.pr "lazy  %a@.eager %a@." Stm.pp_mode_stats s.lazy_stats Stm.pp_mode_stats
+    s.eager_stats

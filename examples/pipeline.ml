@@ -100,5 +100,4 @@ let () =
     done
   done;
   Fmt.pr "privatized in-place squaring: %s@." (if !squares_ok then "ok" else "MISMATCH");
-  let commits, conflicts, _ = Stm.stats_snapshot () in
-  Fmt.pr "stm commits=%d conflicts=%d@." commits conflicts
+  Fmt.pr "stm %a@." Stm.pp_mode_stats (Stm.stats ()).lazy_stats

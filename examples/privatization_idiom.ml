@@ -72,8 +72,7 @@ let runtime () =
   List.iter Domain.join domains;
   Fmt.pr "slots processed: %d/%d, plain-access errors: %d@."
     (Atomic.get processed) slots (Atomic.get errors);
-  let commits, conflicts, _ = Stm.stats_snapshot () in
-  Fmt.pr "stm commits: %d, conflicts retried: %d@." commits conflicts
+  Fmt.pr "stm %a@." Stm.pp_mode_stats (Stm.stats ()).lazy_stats
 
 let () =
   axiomatic ();

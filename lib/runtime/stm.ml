@@ -47,8 +47,7 @@
      serialized slow path;
    - statistics: per-mode commit/abort counters split by abort reason,
      plus retry-count and commit-latency histograms, all read through
-     pure snapshots ([stats]); the legacy three-counter
-     [stats_snapshot] is kept as a projection;
+     pure snapshots ([stats]);
    - tracing ([Stm_trace], off by default): per-domain ring buffers of
      structured begin/abort/commit/quiesce events. *)
 
@@ -168,17 +167,6 @@ let reset_stats () =
   Atomic.set quiesce_count 0;
   Atomic.set escalation_count 0;
   Atomic.set partial_abort_count 0
-
-(* the legacy triple (commits, conflicts, user aborts), a projection of
-   the per-mode counters so existing callers keep working unchanged *)
-let stats_snapshot () =
-  let s = stats () in
-  let total f =
-    f s.lazy_stats + f s.eager_stats + f s.partial_stats + f s.norec_stats
-  in
-  ( total (fun m -> m.commits),
-    total (fun m -> m.validation_aborts + m.lock_aborts),
-    total (fun m -> m.user_aborts) )
 
 let pp_mode_stats ppf m =
   Fmt.pf ppf "commits:%d aborts:{validation:%d lock:%d user:%d}" m.commits
@@ -392,20 +380,41 @@ let write tx v x =
             Tvar.unsafe_write v x
       end
 
-(* roll the undo log back (newest first) down to [until] (an earlier
-   value of [tx.undo], physically); locks are released at their
-   first-write entries *)
-let rec eager_rollback_to tx until =
-  if tx.undo != until then
-    match tx.undo with
-    | [] -> ()
-    | (v, old, prev) :: rest ->
+(* Undo the whole attempt: restore every overwritten value (newest
+   first), then release every lock at one fresh clock version.
+   Unlocking at the pre-lock version would let a reader whose
+   version-value-version check straddled lock, write and rollback keep
+   a value that was never committed. *)
+let eager_rollback tx =
+  let locked =
+    List.fold_left
+      (fun acc (v, old, prev) ->
         Tvar.unsafe_write v old;
-        (match prev with Some p -> Tvar.unlock v ~version:p | None -> ());
-        tx.undo <- rest;
-        eager_rollback_to tx until
+        if prev = None then acc else v :: acc)
+      [] tx.undo
+  in
+  tx.undo <- [];
+  if locked <> [] then begin
+    let version = Atomic.fetch_and_add clock 2 + 2 in
+    List.iter (fun v -> Tvar.unlock v ~version) locked
+  end
 
-let eager_rollback tx = eager_rollback_to tx []
+(* Undo an [or_else] branch back to [until] (an earlier value of
+   [tx.undo], physically): restore the branch's values but keep the
+   locks it took, with their first-write entries, so a variable read
+   before the branch still validates against its pre-lock version.
+   Commit or a full rollback releases them. *)
+let eager_rollback_branch tx until =
+  let rec go kept l =
+    if l == until then List.rev_append kept until
+    else
+      match l with
+      | [] -> List.rev kept
+      | ((v, old, prev) as entry) :: rest ->
+          Tvar.unsafe_write v old;
+          go (if prev = None then kept else entry :: kept) rest
+  in
+  tx.undo <- go [] tx.undo
 
 (* Validate the read set: each read variable must be at the observed
    version and not locked by another transaction.  A variable locked by
@@ -573,7 +582,7 @@ let or_else tx f1 f2 =
       let saved_undo = tx.undo in
       try f1 tx
       with User_abort ->
-        eager_rollback_to tx saved_undo;
+        eager_rollback_branch tx saved_undo;
         tx.reads <- saved_reads;
         f2 tx)
 

@@ -143,10 +143,6 @@ val reset_stats : unit -> unit
 (** Zero every counter and histogram (benchmark staging; do not call
     concurrently with transactions you intend to count). *)
 
-val stats_snapshot : unit -> int * int * int
-(** Legacy projection: total (commits, conflict aborts, user aborts)
-    summed over all modes. *)
-
 val pp_mode_stats : Format.formatter -> mode_stats -> unit
 val pp_histogram : Format.formatter -> histogram -> unit
 

@@ -231,14 +231,6 @@ let totals (s : Stm.snapshot) =
     add (fun (m : Stm.mode_stats) -> m.lock_aborts),
     add (fun (m : Stm.mode_stats) -> m.user_aborts) )
 
-(* full (conflict) aborts per issued attempt outcome: partial-mode
-   checkpoint rollbacks deliberately do NOT count — that they keep a
-   conflict from becoming a full abort is the point of the mode *)
-let abort_rate (s : Stm.snapshot) =
-  let commits, v, l, _ = totals s in
-  let attempts = commits + v + l in
-  if attempts = 0 then 0. else float_of_int (v + l) /. float_of_int attempts
-
 (* --- repair cost ------------------------------------------------------ *)
 
 (* The price of the §5 repair under load: the privatization workload
@@ -431,45 +423,6 @@ let pp_arch_cost ppf c =
     c.arch c.workload c.mode c.fenced_per_sec c.baseline_per_sec
     (100. *. arch_penalty c)
 
-(* The BENCH_arch.json document: the measured penalty runs plus the
-   machine-checked §6 claims the caller obtained from the arch table
-   sweep (tmx arch table --all --check); claims values are raw JSON. *)
-let arch_json ?(claims = []) (config : config) costs =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"arch_fence_penalty\",\n  \"domains\": %d,\n\
-       \  \"iters_per_domain\": %d,\n" config.domains
-       (config.iters * 25 * config.domains));
-  if claims <> [] then begin
-    Buffer.add_string buf "  \"claims\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf (Printf.sprintf "%S: %s" k v))
-      claims;
-    Buffer.add_string buf "},\n"
-  end;
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"arch\": %S, \"workload\": %S, \"mode\": %S,\n\
-           \     \"baseline_per_sec\": %.1f, \"fenced_per_sec\": %.1f, \
-            \"penalty\": %.4f}"
-           c.arch c.workload c.mode c.baseline_per_sec c.fenced_per_sec
-           (arch_penalty c)))
-    costs;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-let write_arch_json ?claims ~file config costs =
-  let oc = open_out file in
-  output_string oc (arch_json ?claims config costs);
-  close_out oc
-
 let pp_fence_cost ppf (c : fence_cost) =
   Fmt.pf ppf
     "repair-cost %-20s %-7s %-9s fences=%d fenced=%.0f tx/s unfenced=%.0f \
@@ -486,64 +439,3 @@ let pp_result ppf r =
     r.snapshot.partial_aborts r.snapshot.quiesces r.snapshot.escalations
     r.seconds
     (float_of_int commits /. Float.max r.seconds 1e-9)
-
-let json_histogram buf name (h : Stm.histogram) =
-  let ints a =
-    String.concat ", " (Array.to_list (Array.map string_of_int a))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf {|"%s": {"bounds": [%s], "counts": [%s]}|} name
-       (ints h.bounds) (ints h.counts))
-
-let to_json ?(repair_cost = []) (config : config) results =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"experiment\": \"stm_runtime_contention\",\n  \"domains\": %d,\n\
-       \  \"iters_per_domain\": %d,\n" config.domains config.iters);
-  if repair_cost <> [] then begin
-    Buffer.add_string buf "  \"repair_cost\": [\n";
-    List.iteri
-      (fun i (c : fence_cost) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"workload\": %S, \"mode\": %S, \"policy\": %S, \
-              \"fences\": %d,\n\
-             \     \"fenced_per_sec\": %.1f, \"unfenced_per_sec\": %.1f, \
-              \"fence_overhead\": %.4f}"
-             c.workload c.mode c.policy c.fences c.fenced_per_sec
-             c.unfenced_per_sec (fence_overhead c)))
-      repair_cost;
-    Buffer.add_string buf "\n  ],\n"
-  end;
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      let commits, v, l, u = totals r.snapshot in
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"workload\": %S, \"mode\": %S, \"policy\": %S,\n\
-           \     \"ops\": %d, \"seconds\": %.6f, \"commits_per_sec\": %.1f,\n\
-           \     \"commits\": %d, \"aborts\": {\"validation\": %d, \"lock\": \
-            %d, \"user\": %d},\n\
-           \     \"abort_rate\": %.4f, \"partial_aborts\": %d,\n\
-           \     \"quiesces\": %d, \"escalations\": %d,\n     " r.workload
-           r.mode r.policy r.ops r.seconds
-           (float_of_int commits /. Float.max r.seconds 1e-9)
-           commits v l u (abort_rate r.snapshot) r.snapshot.partial_aborts
-           r.snapshot.quiesces r.snapshot.escalations);
-      json_histogram buf "retry_histogram" r.snapshot.retry_hist;
-      Buffer.add_string buf ",\n     ";
-      json_histogram buf "commit_latency_ns_histogram"
-        r.snapshot.latency_hist_ns;
-      Buffer.add_string buf "}")
-    results;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ?repair_cost ~file config results =
-  let oc = open_out file in
-  output_string oc (to_json ?repair_cost config results);
-  close_out oc

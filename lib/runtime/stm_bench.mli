@@ -40,12 +40,6 @@ type result = {
 val run : config -> result list
 val pp_result : Format.formatter -> result -> unit
 
-val abort_rate : Stm.snapshot -> float
-(** Full conflict aborts per attempt outcome,
-    [(validation + lock) / (commits + validation + lock)]; partial-mode
-    checkpoint rollbacks do not count (avoiding the full abort is the
-    mode's point). *)
-
 type fence_cost = {
   workload : string;
   mode : string;
@@ -55,16 +49,14 @@ type fence_cost = {
   unfenced_per_sec : float;
 }
 
-val fence_overhead : fence_cost -> float
-(** [1 - fenced/unfenced] commit throughput — the price of the §5
-    quiescence fence, the edit [tmx repair] inserts. *)
-
 val repair_cost : config -> fence_cost list
 (** Run the privatization workload with and without its quiescence
     fence for every (mode, policy) of [config] — empty when the config
     omits {!Privatization_heavy}. *)
 
 val pp_fence_cost : Format.formatter -> fence_cost -> unit
+(** One line; its [overhead] is [1 - fenced/unfenced] commit throughput,
+    the price of the §5 quiescence fence that [tmx repair] inserts. *)
 
 type arch_cost = {
   arch : string;  (** ["x86tso"], ["armv8"] or ["rc11"] *)
@@ -79,33 +71,10 @@ type arch_cost = {
     atomic load per transactional read for ARMv8's [DMB LD], an atomic
     RMW for C++'s [atomic_thread_fence(seq_cst)]. *)
 
-val arch_penalty : arch_cost -> float
-(** [1 - fenced/baseline] commit throughput. *)
-
 val arch_fence_cost : config -> arch_cost list
 (** One entry per architecture on the read-mix microworkload, best of
     three scaled-up runs against a shared unfenced baseline, using the
     first mode and policy of [config]. *)
 
 val pp_arch_cost : Format.formatter -> arch_cost -> unit
-
-val arch_json :
-  ?claims:(string * string) list -> config -> arch_cost list -> string
-(** The BENCH_arch.json document ([experiment: "arch_fence_penalty"];
-    schema in EXPERIMENTS.md).  [claims] are raw-JSON key/value pairs
-    recording the machine-checked §6 facts the caller obtained from the
-    arch table sweep. *)
-
-val write_arch_json :
-  ?claims:(string * string) list ->
-  file:string ->
-  config ->
-  arch_cost list ->
-  unit
-
-val to_json : ?repair_cost:fence_cost list -> config -> result list -> string
-(** The BENCH_stm.json document (schema in EXPERIMENTS.md); the
-    [repair_cost] entries land in a top-level ["repair_cost"] array. *)
-
-val write_json :
-  ?repair_cost:fence_cost list -> file:string -> config -> result list -> unit
+(** One line; its [penalty] is [1 - fenced/baseline] commit throughput. *)

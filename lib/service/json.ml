@@ -1,6 +1,5 @@
-(* Minimal recursive-descent JSON, shared by the cache entries and the
-   wire protocol.  Mirrors the reader in bench/compare.ml; kept separate
-   because tmx_bench_compare is a leaf library with no writer. *)
+(* Minimal recursive-descent JSON, shared by the cache entries, the
+   wire protocol, the benchmark records and their comparator. *)
 
 type t =
   | Null

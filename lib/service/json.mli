@@ -1,9 +1,9 @@
-(** A minimal JSON codec for the cache's on-disk entries and the
-    serve/client wire protocol.
+(** A minimal JSON codec for the cache's on-disk entries, the
+    serve/client wire protocol, the benchmark records and
+    [tmx bench-compare].
 
     Self-contained by design — the project deliberately avoids external
-    runtime dependencies (cf. [bench/compare.ml], which carries its own
-    reader for the same reason).  Numbers are parsed as floats, which is
+    runtime dependencies.  Numbers are parsed as floats, which is
     exact for every integer the service produces (well below 2{^53}). *)
 
 type t =

@@ -593,10 +593,9 @@ let run ?(config = default_config) (program : Ast.program) =
     capped = !capped;
   }
 
-(* Anomalies: outcomes the STM exhibits that the atomic reference
-   semantics (Sc) does not. *)
-let anomalies ?config ?sc_config program =
-  let stm = run ?config program in
+(* Anomalies: outcomes of the STM run [stm] of [program] that the atomic
+   reference semantics (Sc) does not exhibit. *)
+let anomalies ?sc_config stm program =
   let ref_outcomes = Sc.outcomes (Sc.run ?config:sc_config program) in
   List.filter
     (fun o -> not (List.exists (Outcome.equal o) ref_outcomes))

@@ -53,7 +53,7 @@ type result = {
 
 val run : ?config:config -> Tmx_lang.Ast.program -> result
 
-val anomalies :
-  ?config:config -> ?sc_config:Sc.config -> Tmx_lang.Ast.program -> Outcome.t list
-(** Outcomes the STM exhibits that the atomic reference semantics ({!Sc})
-    does not. *)
+val anomalies : ?sc_config:Sc.config -> result -> Tmx_lang.Ast.program -> Outcome.t list
+(** [anomalies r p]: the outcomes of [r], a {!run} of [p], that the atomic
+    reference semantics ({!Sc}) does not exhibit.  Taking the run lets a
+    caller that also prints it simulate once. *)

@@ -146,6 +146,42 @@ let test_or_else mode () =
   Alcotest.(check (option int)) "both branches abort" None r3;
   Alcotest.(check int) "b rolled back" 10 (Tvar.unsafe_read b)
 
+(* An aborted eager write must leave a fresh version behind: a reader
+   whose version-value-version check straddled the lock, the write and
+   the rollback would otherwise keep a value that was never committed. *)
+let test_eager_abort_bumps_version () =
+  let v = Tvar.make 7 in
+  let before = Tvar.version_word v in
+  let r = Stm.atomically ~mode:Stm.Eager (fun tx -> Stm.write tx v 8; Stm.abort tx) in
+  Alcotest.(check (option int)) "aborted" None r;
+  Alcotest.(check int) "value restored" 7 (Tvar.unsafe_read v);
+  let after = Tvar.version_word v in
+  Alcotest.(check bool) "unlocked" false (Tvar.locked after);
+  Alcotest.(check bool) "version changed" true (after <> before)
+
+(* A read before an [or_else] branch that writes the same variable and
+   aborts must still validate at commit: the branch rollback keeps the
+   lock instead of publishing a fresh version. *)
+let test_eager_branch_keeps_read_valid () =
+  let v = Tvar.make 3 and w = Tvar.make 0 in
+  let attempts = ref 0 in
+  let r =
+    Stm.atomically ~mode:Stm.Eager (fun tx ->
+        incr attempts;
+        (* a retry means the commit failed: stop instead of spinning *)
+        if !attempts > 1 then Stm.abort tx;
+        let x = Stm.read tx v in
+        Stm.or_else tx
+          (fun tx -> Stm.write tx v (x + 1); Stm.abort tx)
+          (fun tx -> Stm.write tx w (Stm.read tx v));
+        x)
+  in
+  Alcotest.(check (option int)) "committed" (Some 3) r;
+  Alcotest.(check int) "first attempt" 1 !attempts;
+  Alcotest.(check int) "v unchanged" 3 (Tvar.unsafe_read v);
+  Alcotest.(check int) "second branch saw the restored value" 3 (Tvar.unsafe_read w);
+  Alcotest.(check bool) "v unlocked" false (Tvar.locked (Tvar.version_word v))
+
 let test_footprint_enforced () =
   let v = Tvar.make 0 and w = Tvar.make 0 in
   Alcotest.check_raises "stray access raises"
@@ -208,10 +244,10 @@ let test_selective_quiesce_waits_for_overlapping () =
   Alcotest.(check int) "its write landed" 1 (Tvar.unsafe_read w)
 
 let test_stats_move () =
-  let before, _, _ = Stm.stats_snapshot () in
+  let before = (Stm.stats ()).lazy_stats.commits in
   let v = Tvar.make 0 in
   ignore (Stm.atomically (fun tx -> Stm.write tx v 1));
-  let after, _, _ = Stm.stats_snapshot () in
+  let after = (Stm.stats ()).lazy_stats.commits in
   Alcotest.(check bool) "commit counted" true (after > before)
 
 (* --- registry regressions ------------------------------------------- *)
@@ -415,11 +451,9 @@ let test_stats_extended () =
     s.retry_hist.counts.(0);
   Alcotest.(check int) "latency histogram counts every commit" 2
     (total s.latency_hist_ns.counts);
-  (* the legacy triple is a projection of the same counters *)
-  let c, conflicts, ua = Stm.stats_snapshot () in
-  Alcotest.(check int) "legacy commits" 2 c;
-  Alcotest.(check int) "legacy conflicts" 0 conflicts;
-  Alcotest.(check int) "legacy user aborts" 1 ua
+  let conflicts (m : Stm.mode_stats) = m.validation_aborts + m.lock_aborts in
+  Alcotest.(check int) "no conflicts" 0
+    (conflicts s.lazy_stats + conflicts s.eager_stats)
 
 (* --- tracing --------------------------------------------------------- *)
 
@@ -495,6 +529,10 @@ let suite =
     Alcotest.test_case "eager orElse" `Quick (test_or_else Stm.Eager);
     Alcotest.test_case "partial orElse" `Quick (test_or_else Stm.Partial);
     Alcotest.test_case "norec orElse" `Quick (test_or_else Stm.Norec);
+    Alcotest.test_case "eager abort publishes a fresh version" `Quick
+      test_eager_abort_bumps_version;
+    Alcotest.test_case "eager orElse keeps earlier reads valid" `Quick
+      test_eager_branch_keeps_read_valid;
     Alcotest.test_case "partial abort replays the retained prefix" `Slow
       test_partial_abort_replay;
     Alcotest.test_case "footprints enforced" `Quick test_footprint_enforced;

@@ -60,14 +60,16 @@ let test_lazy_serializable_on_txn_only () =
      outcomes are within the atomic reference semantics *)
   List.iter
     (fun name ->
-      let anomalies = Stmsim.anomalies ~config:lazy_cfg (program name) in
+      let p = program name in
+      let anomalies = Stmsim.anomalies (Stmsim.run ~config:lazy_cfg p) p in
       Alcotest.(check int) (name ^ " anomaly-free") 0 (List.length anomalies))
     [ "opacity_iriw"; "d1_opaque_writes" ]
 
 let test_publication_needs_no_fence () =
   (* the publication idiom works on the lazy STM as-is (§5: direct
      dependencies are ordered by the transactional machinery) *)
-  let anomalies = Stmsim.anomalies ~config:lazy_cfg (program "publication") in
+  let p = program "publication" in
+  let anomalies = Stmsim.anomalies (Stmsim.run ~config:lazy_cfg p) p in
   Alcotest.(check int) "publication anomaly-free" 0 (List.length anomalies)
 
 (* -- partial aborts ---------------------------------------------------- *)
