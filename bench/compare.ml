@@ -4,7 +4,7 @@
    runs it on a same-host pair of records (the parent commit's and the
    pushed commit's). *)
 
-module Json = Tmx_service.Json
+module Json = Tmx_json
 
 let default_threshold = 0.25
 

@@ -36,6 +36,37 @@ let find_litmus name =
       Error
         (Fmt.str "unknown litmus test %S; try `tmx litmus --list'" name)
 
+(* [f] over every NAME argument, stopping at the first error *)
+let map_names f names =
+  List.fold_left
+    (fun acc n ->
+      Result.bind acc (fun xs -> Result.map (fun x -> x :: xs) (f n)))
+    (Ok []) names
+  |> Result.map List.rev
+
+(* A program argument of lint, repair and arch: [file] is set when the
+   NAME is an existing litmus file, which wins over a catalog name. *)
+type target = {
+  label : string;
+  file : string option;
+  program : Tmx_lang.Ast.program;
+}
+
+let target_of_litmus (l : Tmx_litmus.Litmus.t) =
+  { label = l.name; file = None; program = l.program }
+
+let catalog_targets = List.map target_of_litmus Tmx_litmus.Catalog.all
+
+let find_target name =
+  if Sys.file_exists name then
+    match Tmx_litmus.Parse.parse_file name with
+    | exception Tmx_litmus.Parse.Error msg -> Error (Fmt.str "%s: %s" name msg)
+    | l -> Ok { label = name; file = Some name; program = l.program }
+  else Result.map target_of_litmus (find_litmus name)
+
+let find_targets ~all names =
+  if all then Ok catalog_targets else map_names find_target names
+
 let model_conv =
   let parse s =
     match Model.by_name s with
@@ -128,15 +159,15 @@ let cache_flag =
 
 (* -- litmus ---------------------------------------------------------------- *)
 
+let catalog_flag =
+  Arg.(
+    value & flag
+    & info [ "all" ]
+        ~doc:
+          "Run the whole catalog (also the default when no names are \
+           given).")
+
 let litmus_cmd =
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:
-            "Run the whole catalog (also the default when no names are \
-             given).")
-  in
   let run jobs reduction list all use_cache cache_dir names =
     let config = config_of_jobs jobs reduction in
     if list then begin
@@ -148,13 +179,7 @@ let litmus_cmd =
     else
       let tests =
         if all || names = [] then Ok Tmx_litmus.Catalog.all
-        else
-          List.fold_left
-            (fun acc n ->
-              Result.bind acc (fun ts ->
-                  Result.map (fun t -> t :: ts) (find_litmus n)))
-            (Ok []) names
-          |> Result.map List.rev
+        else map_names find_litmus names
       in
       Result.map
         (fun tests ->
@@ -192,7 +217,7 @@ let litmus_cmd =
   let term =
     Term.(
       term_result'
-        (const run $ jobs_arg $ reduction_arg $ list_flag $ all_flag
+        (const run $ jobs_arg $ reduction_arg $ list_flag $ catalog_flag
        $ cache_flag $ cache_dir_arg $ names_arg))
   in
   Cmd.v
@@ -294,52 +319,31 @@ let lint_cmd =
              quiescence fences inserted (the Fenceify transformation the \
              fence fixes refer to).")
   in
-  let find_program name =
-    if Sys.file_exists name then
-      match Tmx_litmus.Parse.parse_file name with
-      | exception Tmx_litmus.Parse.Error msg -> Error (Fmt.str "%s: %s" name msg)
-      | litmus -> Ok litmus.Tmx_litmus.Litmus.program
-    else
-      Result.map
-        (fun (l : Tmx_litmus.Litmus.t) -> l.program)
-        (find_litmus name)
-  in
   let run json sarif all fenced names =
-    let programs =
-      if all then
-        Ok (List.map (fun (l : Tmx_litmus.Litmus.t) -> l.program) Tmx_litmus.Catalog.all)
-      else if names = [] then
+    let targets =
+      if names = [] && not all then
         Error "nothing to lint: give catalog names, litmus files, or --all"
-      else
-        List.fold_left
-          (fun acc n ->
-            Result.bind acc (fun ps ->
-                Result.map (fun p -> p :: ps) (find_program n)))
-          (Ok []) names
-        |> Result.map List.rev
+      else find_targets ~all names
     in
     Result.map
-      (fun programs ->
+      (fun targets ->
         let reports =
           List.map
-            (fun (p : Tmx_lang.Ast.program) ->
+            (fun { program = p; _ } ->
               match Tmx_lang.Ast.validate p with
               | Error msg ->
                   Fmt.epr "tmx: %s: %s@." p.name msg;
                   exit 2
               | Ok () -> Tmx_analysis.Lint.lint p)
-            programs
+            targets
         in
-        if sarif then print_string (Tmx_analysis.Lint.sarif_of_reports reports)
-        else if json then begin
-          print_string "[";
-          List.iteri
-            (fun i r ->
-              if i > 0 then print_string ",\n";
-              print_string (Tmx_analysis.Lint.to_json r))
-            reports;
-          print_string "]\n"
-        end
+        if sarif then
+          print_endline
+            (Tmx_json.to_string (Tmx_analysis.Lint.sarif_of_reports reports))
+        else if json then
+          print_endline
+            (Tmx_json.to_string
+               (Tmx_json.Arr (List.map Tmx_analysis.Lint.to_json reports)))
         else
           List.iter
             (fun (r : Tmx_analysis.Lint.report) ->
@@ -360,7 +364,7 @@ let lint_cmd =
                (List.filter Tmx_analysis.Lint.race_free reports))
             (List.length reports);
         if findings > 0 then exit 1)
-      programs
+      targets
   in
   let term =
     Term.(
@@ -453,16 +457,6 @@ let repair_cmd =
       & info [ "max-edits" ] ~docv:"N"
           ~doc:"Edit budget (default: the candidate-pool size).")
   in
-  let find name =
-    if Sys.file_exists name then
-      match Tmx_litmus.Parse.parse_file name with
-      | exception Tmx_litmus.Parse.Error msg -> Error (Fmt.str "%s: %s" name msg)
-      | litmus -> Ok (Some name, litmus.Tmx_litmus.Litmus.program)
-    else
-      Result.map
-        (fun (l : Tmx_litmus.Litmus.t) -> (None, l.program))
-        (find_litmus name)
-  in
   (* a minimal LCS line diff; the programs are a dozen lines each *)
   let line_diff a b =
     let a = Array.of_list (String.split_on_char '\n' a) in
@@ -509,28 +503,17 @@ let repair_cmd =
   let run model goal json diff apply check no_promote max_edits jobs reduction
       all names =
     let targets =
-      if all then
-        Ok
-          (List.map
-             (fun (l : Tmx_litmus.Litmus.t) -> (None, l.program))
-             Tmx_litmus.Catalog.all)
-      else if names = [] then
+      if names = [] && not all then
         Error "nothing to repair: give catalog names, litmus files, or --all"
-      else
-        List.fold_left
-          (fun acc n ->
-            Result.bind acc (fun ts -> Result.map (fun t -> t :: ts) (find n)))
-          (Ok []) names
-        |> Result.map List.rev
+      else find_targets ~all names
     in
     Result.map
       (fun targets ->
         let config = config_of_jobs jobs reduction in
         let failed = ref 0 and repaired = ref 0 and clean = ref 0 in
-        let first = ref true in
-        if json then print_string "[";
+        let entries = ref [] in
         List.iter
-          (fun (file, (p : Tmx_lang.Ast.program)) ->
+          (fun { file; program = p; _ } ->
             (match Tmx_lang.Ast.validate p with
             | Error msg ->
                 Fmt.epr "tmx: %s: %s@." p.name msg;
@@ -542,10 +525,9 @@ let repair_cmd =
             with
             | Error e ->
                 incr failed;
-                if json then (
-                  if not !first then print_string ",\n";
-                  first := false;
-                  print_string (Tmx_analysis.Repair.error_to_json ~program:p e))
+                if json then
+                  entries :=
+                    Tmx_analysis.Repair.error_to_json ~program:p e :: !entries
                 else Fmt.pr "%s: no repair found: %s@." p.name e
             | Ok r ->
                 if r.Tmx_analysis.Repair.edits = [] then incr clean
@@ -561,10 +543,9 @@ let repair_cmd =
                         false
                   else true
                 in
-                if json then (
-                  if not !first then print_string ",\n";
-                  first := false;
-                  print_string (Tmx_analysis.Repair.to_json ~model ~goal r))
+                if json then
+                  entries :=
+                    Tmx_analysis.Repair.to_json ~model ~goal r :: !entries
                 else begin
                   Fmt.pr "@[<v>%a@]@." Tmx_analysis.Repair.pp r;
                   if check && sound then
@@ -587,7 +568,8 @@ let repair_cmd =
                         p.name;
                       incr failed)
           targets;
-        if json then print_string "]\n"
+        if json then
+          print_endline (Tmx_json.to_string (Tmx_json.Arr (List.rev !entries)))
         else
           Fmt.pr "%d repaired, %d already race-free, %d failed (model %a, \
                   goal %s)@."
@@ -657,6 +639,21 @@ let stm_cmd =
             "Explore every catalog program and print a one-line \
              anomaly summary per program.")
   in
+  (* A run that hit a bound saw only some schedules: its counts are
+     lower bounds, printed as "≥ N" with the bounds that fired. *)
+  let bounded (c : Tmx_stmsim.Stmsim.config) (r : Tmx_stmsim.Stmsim.result) =
+    let fired =
+      List.filter_map
+        (fun (hit, bound) -> if hit then Some bound else None)
+        [
+          (r.capped, Fmt.str "capped at %d schedules" c.max_paths);
+          (r.fuel_exhausted, Fmt.str "loop fuel %d exhausted" c.fuel);
+          (r.retries_exhausted, Fmt.str "%d retries exhausted" c.max_retries);
+        ]
+    in
+    if fired = [] then ("", "")
+    else ("≥ ", Fmt.str " (%s)" (String.concat ", " fired))
+  in
   let run strategy atomic_commit checkpoints all names =
     let config =
       { Tmx_stmsim.Stmsim.default_config with strategy; atomic_commit; checkpoints }
@@ -666,32 +663,30 @@ let stm_cmd =
         (fun (l : Tmx_litmus.Litmus.t) ->
           let r = Tmx_stmsim.Stmsim.run ~config l.program in
           let anomalies = Tmx_stmsim.Stmsim.anomalies r l.program in
-          Fmt.pr "%-28s %-7s %d anomalies@." l.name
+          let at_least, note = bounded config r in
+          Fmt.pr "%-28s %-7s %s%d anomalies%s@." l.name
             (Tmx_stmsim.Stmsim.strategy_name strategy)
-            (List.length anomalies))
+            at_least (List.length anomalies) note)
         Tmx_litmus.Catalog.all;
       Ok ()
     end
     else if names = [] then Error "nothing to explore: give catalog names or --all"
     else
-      List.fold_left
-        (fun acc name ->
-          Result.bind acc (fun () ->
-              Result.map
-                (fun (l : Tmx_litmus.Litmus.t) ->
-                  let r = Tmx_stmsim.Stmsim.run ~config l.program in
-                  Fmt.pr "%d schedules explored, %d distinct outcomes@." r.paths
-                    (List.length r.outcomes);
-                  List.iter (fun o -> Fmt.pr "  %a@." Outcome.pp o) r.outcomes;
-                  let anomalies = Tmx_stmsim.Stmsim.anomalies r l.program in
-                  if anomalies = [] then
-                    Fmt.pr "no anomalies vs the atomic reference@."
-                  else begin
-                    Fmt.pr "ANOMALIES vs the atomic reference semantics:@.";
-                    List.iter (fun o -> Fmt.pr "  %a@." Outcome.pp o) anomalies
-                  end)
-                (find_litmus name)))
-        (Ok ()) names
+      Result.map
+        (List.iter (fun (l : Tmx_litmus.Litmus.t) ->
+             let r = Tmx_stmsim.Stmsim.run ~config l.program in
+             let at_least, note = bounded config r in
+             Fmt.pr "%d schedules explored, %s%d distinct outcomes%s@." r.paths
+               at_least (List.length r.outcomes) note;
+             List.iter (fun o -> Fmt.pr "  %a@." Outcome.pp o) r.outcomes;
+             let anomalies = Tmx_stmsim.Stmsim.anomalies r l.program in
+             if anomalies = [] then
+               Fmt.pr "no anomalies vs the atomic reference@."
+             else begin
+               Fmt.pr "ANOMALIES vs the atomic reference semantics:@.";
+               List.iter (fun o -> Fmt.pr "  %a@." Outcome.pp o) anomalies
+             end))
+        (map_names find_litmus names)
   in
   let term =
     Term.(
@@ -916,17 +911,13 @@ let fuzz_cmd =
         match oracle_names with
         | [] -> Ok Oracle.stock
         | names ->
-            List.fold_left
-              (fun acc n ->
-                Result.bind acc (fun os ->
-                    match Oracle.by_name n with
-                    | Some o -> Ok (o :: os)
-                    | None ->
-                        Error
-                          (Fmt.str "unknown oracle %S (known: %s)" n
-                             (String.concat ", " (Oracle.names ())))))
-              (Ok []) names
-            |> Result.map List.rev
+            map_names
+              (fun n ->
+                Option.to_result (Oracle.by_name n)
+                  ~none:
+                    (Fmt.str "unknown oracle %S (known: %s)" n
+                       (String.concat ", " (Oracle.names ()))))
+              names
       in
       Result.bind oracles (fun oracles ->
           let jobs = if jobs <= 0 then Tmx_exec.Pool.available_cores () else jobs in
@@ -974,7 +965,9 @@ let fuzz_cmd =
               | _ -> Error "--minimize needs exactly one --oracle")
           | None ->
               let report = Runner.run opts in
-              if json then print_string (Runner.report_to_json report)
+              if json then
+                print_endline
+                  (Tmx_json.to_string (Runner.report_to_json report))
               else Fmt.pr "%a@." Runner.pp_report report;
               if not (Runner.ok report) then exit 1;
               Ok ())
@@ -1115,12 +1108,7 @@ let theorems_cmd =
     let config = config_of_jobs jobs reduction in
     let tests =
       if names = [] then Ok Tmx_litmus.Catalog.all
-      else
-        List.fold_left
-          (fun acc n ->
-            Result.bind acc (fun ts -> Result.map (fun t -> t :: ts) (find_litmus n)))
-          (Ok []) names
-        |> Result.map List.rev
+      else map_names find_litmus names
     in
     Result.map
       (fun tests ->
@@ -1212,20 +1200,19 @@ let check_cmd =
           Error
             (Fmt.str "%s: %s" socket
                (Option.value
-                  (Option.bind (Json.mem "error" resp) Json.to_str)
+                  (Option.bind (Tmx_json.mem "error" resp) Tmx_json.to_str)
                   ~default:"request failed"))
         else begin
           let results =
             Option.value
-              (Option.bind (Json.mem "results" resp) Json.to_list)
+              (Option.bind (Tmx_json.mem "results" resp) Tmx_json.to_list)
               ~default:[]
           in
           List.iter
             (fun r ->
-              let field k = Option.bind (Json.mem k r) Json.to_str in
+              let field k = Option.bind (Tmx_json.mem k r) Tmx_json.to_str in
               let ok =
-                Option.value (Option.bind (Json.mem "ok" r) Json.to_bool)
-                  ~default:false
+                Option.bind (Tmx_json.mem "ok" r) Tmx_json.to_bool = Some true
               in
               Fmt.pr "  [%s] %-4s %s: %s@."
                 (if ok then "ok" else "FAIL")
@@ -1235,12 +1222,12 @@ let check_cmd =
             results;
           let passed =
             Option.value
-              (Option.bind (Json.mem "passed" resp) Json.to_bool)
+              (Option.bind (Tmx_json.mem "passed" resp) Tmx_json.to_bool)
               ~default:false
           in
           let cached =
             Option.value
-              (Option.bind (Json.mem "cached" resp) Json.to_bool)
+              (Option.bind (Tmx_json.mem "cached" resp) Tmx_json.to_bool)
               ~default:false
           in
           Fmt.pr "%s: %s%s@." file
@@ -1610,8 +1597,9 @@ let client_cmd =
       subrequests = [];
     }
   in
-  let get k conv resp = Option.bind (Json.mem k resp) conv in
-  let geti k resp = Option.value (get k Json.to_int resp) ~default:0 in
+  let get k conv resp = Option.bind (Tmx_json.mem k resp) conv in
+  let geti k resp = Option.value (get k Tmx_json.to_int resp) ~default:0 in
+  let flag k resp = get k Tmx_json.to_bool resp = Some true in
   let render verb targets resp =
     match verb with
     | "ping" -> Fmt.pr "pong@."
@@ -1638,38 +1626,30 @@ let client_cmd =
     | "check" ->
         Fmt.pr "%s: %s%s@."
           (match targets with t :: _ -> t | [] -> "?")
-          (if Option.value (get "passed" Json.to_bool resp) ~default:false then
-             "pass"
-           else "FAIL")
-          (if Option.value (get "cached" Json.to_bool resp) ~default:false then
-             " (cached)"
-           else "")
+          (if flag "passed" resp then "pass" else "FAIL")
+          (if flag "cached" resp then " (cached)" else "")
     | "races" ->
         Fmt.pr "%s: %d executions, %d racy, %d mixed%s@."
           (match targets with t :: _ -> t | [] -> "?")
           (geti "executions" resp) (geti "racy" resp) (geti "mixed" resp)
-          (if Option.value (get "cached" Json.to_bool resp) ~default:false then
-             " (cached)"
-           else "")
+          (if flag "cached" resp then " (cached)" else "")
     | "outcomes" ->
         List.iter
           (fun o ->
-            match Json.to_str o with
+            match Tmx_json.to_str o with
             | Some s -> Fmt.pr "  %s@." s
             | None -> ())
-          (Option.value (get "outcomes" Json.to_list resp) ~default:[]);
+          (Option.value (get "outcomes" Tmx_json.to_list resp) ~default:[]);
         Fmt.pr "%s: %d outcomes%s@."
           (match targets with t :: _ -> t | [] -> "?")
           (geti "count" resp)
-          (if Option.value (get "cached" Json.to_bool resp) ~default:false then
-             " (cached)"
-           else "")
+          (if flag "cached" resp then " (cached)" else "")
     | "lint" ->
         Fmt.pr "%s: race_free %b, %d findings, %d mixed@."
           (match targets with t :: _ -> t | [] -> "?")
-          (Option.value (get "race_free" Json.to_bool resp) ~default:false)
+          (Option.value (get "race_free" Tmx_json.to_bool resp) ~default:false)
           (geti "findings" resp) (geti "mixed" resp)
-    | _ -> print_string (Json.to_string resp ^ "\n")
+    | _ -> print_string (Tmx_json.to_string resp ^ "\n")
   in
   let run socket wait json model deadline_ms all sub verb targets =
     let model = model.Tmx_core.Model.name in
@@ -1700,12 +1680,12 @@ let client_cmd =
     Result.bind req (fun req ->
         Result.map
           (fun resp ->
-            if json then print_string (Json.to_string resp ^ "\n")
+            if json then print_string (Tmx_json.to_string resp ^ "\n")
             else if Protocol.response_ok resp then render verb targets resp
             else begin
               Fmt.epr "tmx client: %s@."
                 (Option.value
-                   (Option.bind (Json.mem "error" resp) Json.to_str)
+                   (Option.bind (Tmx_json.mem "error" resp) Tmx_json.to_str)
                    ~default:"request failed");
               exit 1
             end)
@@ -1855,27 +1835,27 @@ let loadgen_cmd =
             Option.iter
               (fun file ->
                 let witness =
-                  Json.Obj
+                  Tmx_json.Obj
                     [
-                      ("experiment", Json.str "serve_loadgen");
-                      ("seed", Json.int seed);
-                      ("skew", Json.Num skew);
-                      ("concurrency", Json.int concurrency);
-                      ("duration_s", Json.Num r.duration_s);
+                      ("experiment", Tmx_json.str "serve_loadgen");
+                      ("seed", Tmx_json.int seed);
+                      ("skew", Tmx_json.Num skew);
+                      ("concurrency", Tmx_json.int concurrency);
+                      ("duration_s", Tmx_json.Num r.duration_s);
                       ( "shards",
-                        Json.Arr
+                        Tmx_json.Arr
                           [
-                            Json.Obj
-                              (("shards", Json.int shards_label)
+                            Tmx_json.Obj
+                              (("shards", Tmx_json.int shards_label)
                               ::
                               (match Loadgen.report_to_json r with
-                              | Json.Obj fs -> fs
+                              | Tmx_json.Obj fs -> fs
                               | _ -> []));
                           ] );
                     ]
                 in
                 let oc = open_out file in
-                output_string oc (Json.to_string witness);
+                output_string oc (Tmx_json.to_string witness);
                 output_string oc "\n";
                 close_out oc)
               out;
@@ -1966,45 +1946,15 @@ let arch_cmd =
             "Architecture backend: x86tso, armv8 or rc11 (the C++-TM-style \
              RC11 fragment).")
   in
-  let find_program name =
-    if Sys.file_exists name then
-      match Tmx_litmus.Parse.parse_file name with
-      | exception Tmx_litmus.Parse.Error msg -> Error (Fmt.str "%s: %s" name msg)
-      | litmus -> Ok (name, litmus.Tmx_litmus.Litmus.program)
-    else
-      Result.map
-        (fun (l : Tmx_litmus.Litmus.t) -> (l.name, l.program))
-        (find_litmus name)
-  in
-  let find_programs all names =
-    if all || names = [] then
-      Ok
-        (List.map
-           (fun (l : Tmx_litmus.Litmus.t) -> (l.name, l.program))
-           Tmx_litmus.Catalog.all)
-    else
-      List.fold_left
-        (fun acc n ->
-          Result.bind acc (fun ps ->
-              Result.map (fun p -> p :: ps) (find_program n)))
-        (Ok []) names
-      |> Result.map List.rev
-  in
-  let all_flag =
-    Arg.(
-      value & flag
-      & info [ "all" ]
-          ~doc:"Run the whole catalog (also the default when no names are given).")
-  in
   let check_cmd =
     let run jobs model arch name =
       Result.map
-        (fun (name, program) ->
+        (fun { label = name; program; _ } ->
           let config = config_of_jobs jobs Enumerate.No_reduction in
           let v = Diff.check ~config arch model program in
           Fmt.pr "%s: %a@." name Diff.pp_verdict v;
           if not (v.Diff.validated || v.Diff.fences <> None) then exit 1)
-        (find_program name)
+        (find_target name)
     in
     let term =
       Term.(
@@ -2022,7 +1972,7 @@ let arch_cmd =
   let diff_cmd =
     let run jobs model arch name =
       Result.map
-        (fun (name, program) ->
+        (fun { label = name; program; _ } ->
           let config = config_of_jobs jobs Enumerate.No_reduction in
           let a = Aexec.run ~config arch program in
           let r = Enumerate.run ~config model program in
@@ -2037,7 +1987,7 @@ let arch_cmd =
             (fun o -> Fmt.pr "  variant-only %a@." Outcome.pp o)
             conservative;
           if escapes = [] && conservative = [] then Fmt.pr "  (agree)@.")
-        (find_program name)
+        (find_target name)
     in
     let term =
       Term.(
@@ -2072,7 +2022,7 @@ let arch_cmd =
             Fmt.pr fmt
           in
           List.iter
-            (fun (name, program) ->
+            (fun { label = name; program; _ } ->
               let rows = Diff.rows ~config program in
               Fmt.pr "%s:@." name;
               List.iter (fun r -> Fmt.pr "  %a@." Diff.pp_row r) rows;
@@ -2107,11 +2057,12 @@ let arch_cmd =
               Fmt.pr "%d section-6 violations@." !failures;
               exit 1
             end)
-        (find_programs all names)
+        (find_targets ~all:(all || names = []) names)
     in
     let term =
       Term.(
-        term_result' (const run $ jobs_arg $ check_flag $ all_flag $ names_arg))
+        term_result'
+          (const run $ jobs_arg $ check_flag $ catalog_flag $ names_arg))
     in
     Cmd.v
       (Cmd.info "table"

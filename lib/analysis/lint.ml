@@ -195,75 +195,55 @@ let pp_report ppf r =
 
 (* -- JSON -------------------------------------------------------------------- *)
 
-let json_escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* a JSON string holding the printed value *)
+let json_pp pp x = Tmx_json.str (Fmt.to_to_string pp x)
 
-let json_access buf (a : Access.t) =
-  Buffer.add_string buf
-    (Fmt.str "{\"thread\": %d, \"mode\": \"%a\", \"kind\": \"%a\", " a.thread
-       Access.pp_mode a.mode Access.pp_kind a.kind);
-  Buffer.add_string buf "\"loc\": ";
-  json_escape buf a.loc;
-  Buffer.add_string buf ", \"path\": ";
-  json_escape buf a.path;
-  Buffer.add_string buf ", \"stmt\": ";
-  json_escape buf (Fmt.str "%a" Ast.pp_stmt a.stmt);
-  Buffer.add_string buf "}"
+let json_access (a : Access.t) =
+  Tmx_json.Obj
+    [
+      ("thread", Tmx_json.int a.thread);
+      ("mode", json_pp Access.pp_mode a.mode);
+      ("kind", json_pp Access.pp_kind a.kind);
+      ("loc", Tmx_json.str a.loc);
+      ("path", Tmx_json.str a.path);
+      ("stmt", json_pp Ast.pp_stmt a.stmt);
+    ]
+
+let json_summary (s : Access.summary) =
+  Tmx_json.Obj
+    [
+      ("name", Tmx_json.str s.loc);
+      ("class", json_pp Access.pp_class s.class_);
+      ("plain_reads", Tmx_json.int s.counts.plain_reads);
+      ("plain_writes", Tmx_json.int s.counts.plain_writes);
+      ("tx_reads", Tmx_json.int s.counts.tx_reads);
+      ("tx_writes", Tmx_json.int s.counts.tx_writes);
+      ("threads", Tmx_json.Arr (List.map Tmx_json.int s.threads));
+    ]
+
+let json_finding f =
+  Tmx_json.Obj
+    [
+      ( "kind",
+        Tmx_json.str
+          (match f.kind with Mixed_race -> "mixed" | L_race -> "l-race") );
+      ("severity", json_pp pp_severity f.severity);
+      ("loc", Tmx_json.str f.loc);
+      ("a", json_access f.a);
+      ("b", json_access f.b);
+      ( "protections",
+        Tmx_json.Arr (List.map (json_pp Order.pp_protection) f.protections) );
+      ("fix", json_pp pp_fix f.fix);
+    ]
 
 let to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"program\": ";
-  json_escape buf r.program.Ast.name;
-  Buffer.add_string buf
-    (Fmt.str ",\n \"race_free\": %b,\n \"locations\": [" (race_free r));
-  List.iteri
-    (fun i (s : Access.summary) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf "\n  {\"name\": ";
-      json_escape buf s.loc;
-      Buffer.add_string buf
-        (Fmt.str
-           ", \"class\": \"%a\", \"plain_reads\": %d, \"plain_writes\": %d, \
-            \"tx_reads\": %d, \"tx_writes\": %d, \"threads\": [%a]}"
-           Access.pp_class s.class_ s.counts.plain_reads s.counts.plain_writes
-           s.counts.tx_reads s.counts.tx_writes
-           Fmt.(list ~sep:comma int)
-           s.threads))
-    r.summaries;
-  Buffer.add_string buf "],\n \"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Fmt.str "\n  {\"kind\": \"%s\", \"severity\": \"%a\", \"loc\": "
-           (match f.kind with Mixed_race -> "mixed" | L_race -> "l-race")
-           pp_severity f.severity);
-      json_escape buf f.loc;
-      Buffer.add_string buf ", \"a\": ";
-      json_access buf f.a;
-      Buffer.add_string buf ", \"b\": ";
-      json_access buf f.b;
-      Buffer.add_string buf ", \"protections\": [";
-      List.iteri
-        (fun j pr ->
-          if j > 0 then Buffer.add_string buf ", ";
-          json_escape buf (Fmt.str "%a" Order.pp_protection pr))
-        f.protections;
-      Buffer.add_string buf "], \"fix\": ";
-      json_escape buf (Fmt.str "%a" pp_fix f.fix);
-      Buffer.add_string buf "}")
-    r.findings;
-  Buffer.add_string buf "]\n}\n";
-  Buffer.contents buf
+  Tmx_json.Obj
+    [
+      ("program", Tmx_json.str r.program.Ast.name);
+      ("race_free", Tmx_json.bool (race_free r));
+      ("locations", Tmx_json.Arr (List.map json_summary r.summaries));
+      ("findings", Tmx_json.Arr (List.map json_finding r.findings));
+    ]
 
 (* -- SARIF 2.1.0 -------------------------------------------------------------- *)
 
@@ -279,66 +259,94 @@ let sarif_level = function
 
 let sarif_rule_id = function Mixed_race -> "mixed-race" | L_race -> "l-race"
 
+let sarif_rule id text =
+  Tmx_json.Obj
+    [
+      ("id", Tmx_json.str id);
+      ("shortDescription", Tmx_json.Obj [ ("text", Tmx_json.str text) ]);
+    ]
+
+let sarif_result r f =
+  let name = r.program.Ast.name in
+  let location (a : Access.t) =
+    Tmx_json.Obj
+      [
+        ( "logicalLocations",
+          Tmx_json.Arr
+            [
+              Tmx_json.Obj
+                [
+                  ("kind", Tmx_json.str "member");
+                  ("fullyQualifiedName", Tmx_json.str (name ^ "/" ^ a.path));
+                ];
+            ] );
+      ]
+  in
+  Tmx_json.Obj
+    [
+      ("ruleId", Tmx_json.str (sarif_rule_id f.kind));
+      ("level", Tmx_json.str (sarif_level f.severity));
+      ( "message",
+        Tmx_json.Obj
+          [
+            ( "text",
+              Tmx_json.str
+                (Fmt.str "%a on %s: %a vs %a; fix: %a" pp_kind f.kind f.loc
+                   Access.pp f.a Access.pp f.b pp_fix f.fix) );
+          ] );
+      ("locations", Tmx_json.Arr [ location f.a; location f.b ]);
+      ( "partialFingerprints",
+        Tmx_json.Obj
+          [
+            ( "tmxFindingKey/v1",
+              Tmx_json.str
+                (Fmt.str "%s:%s:%s:%s" name f.loc f.a.Access.path
+                   f.b.Access.path) );
+          ] );
+      ( "properties",
+        Tmx_json.Obj
+          [
+            ("severity", json_pp pp_severity f.severity);
+            ("program", Tmx_json.str name);
+          ] );
+    ]
+
 let sarif_of_reports reports =
-  let buf = Buffer.create 4096 in
-  let str s = json_escape buf s in
-  Buffer.add_string buf
-    "{\n\
-    \  \"$schema\": \
-     \"https://docs.oasis-open.org/sarif/sarif/v2.1.0/os/schemas/sarif-schema-2.1.0.json\",\n\
-    \  \"version\": \"2.1.0\",\n\
-    \  \"runs\": [\n\
-    \    {\n\
-    \      \"tool\": {\n\
-    \        \"driver\": {\n\
-    \          \"name\": \"tmx-lint\",\n\
-    \          \"informationUri\": \"https://example.invalid/tmx\",\n\
-    \          \"rules\": [\n\
-    \            {\"id\": \"mixed-race\", \"shortDescription\": {\"text\": \
-     \"candidate mixed race: transactional write vs plain write on a \
-     shared location\"}},\n\
-    \            {\"id\": \"l-race\", \"shortDescription\": {\"text\": \
-     \"candidate L-race: unordered conflicting pair with a plain \
-     access\"}}\n\
-    \          ]\n\
-    \        }\n\
-    \      },\n\
-    \      \"results\": [";
-  let first = ref true in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun f ->
-          if not !first then Buffer.add_string buf ",";
-          first := false;
-          Buffer.add_string buf "\n        {\"ruleId\": \"";
-          Buffer.add_string buf (sarif_rule_id f.kind);
-          Buffer.add_string buf "\", \"level\": \"";
-          Buffer.add_string buf (sarif_level f.severity);
-          Buffer.add_string buf "\", \"message\": {\"text\": ";
-          str
-            (Fmt.str "%a on %s: %a vs %a; fix: %a" pp_kind f.kind f.loc
-               Access.pp f.a Access.pp f.b pp_fix f.fix);
-          Buffer.add_string buf "},\n         \"locations\": [";
-          List.iteri
-            (fun i (a : Access.t) ->
-              if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf "{\"logicalLocations\": [{\"kind\": ";
-              str "member";
-              Buffer.add_string buf ", \"fullyQualifiedName\": ";
-              str (r.program.Ast.name ^ "/" ^ a.path);
-              Buffer.add_string buf "}]}")
-            [ f.a; f.b ];
-          Buffer.add_string buf "],\n         \"partialFingerprints\": {\"tmxFindingKey/v1\": ";
-          str
-            (Fmt.str "%s:%s:%s:%s" r.program.Ast.name f.loc f.a.Access.path
-               f.b.Access.path);
-          Buffer.add_string buf "},\n         \"properties\": {\"severity\": ";
-          str (Fmt.str "%a" pp_severity f.severity);
-          Buffer.add_string buf ", \"program\": ";
-          str r.program.Ast.name;
-          Buffer.add_string buf "}}")
-        r.findings)
-    reports;
-  Buffer.add_string buf "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
+  let driver =
+    Tmx_json.Obj
+      [
+        ("name", Tmx_json.str "tmx-lint");
+        ("informationUri", Tmx_json.str "https://example.invalid/tmx");
+        ( "rules",
+          Tmx_json.Arr
+            [
+              sarif_rule "mixed-race"
+                "candidate mixed race: transactional write vs plain write on \
+                 a shared location";
+              sarif_rule "l-race"
+                "candidate L-race: unordered conflicting pair with a plain \
+                 access";
+            ] );
+      ]
+  in
+  Tmx_json.Obj
+    [
+      ( "$schema",
+        Tmx_json.str
+          "https://docs.oasis-open.org/sarif/sarif/v2.1.0/os/schemas/sarif-schema-2.1.0.json"
+      );
+      ("version", Tmx_json.str "2.1.0");
+      ( "runs",
+        Tmx_json.Arr
+          [
+            Tmx_json.Obj
+              [
+                ("tool", Tmx_json.Obj [ ("driver", driver) ]);
+                ( "results",
+                  Tmx_json.Arr
+                    (List.concat_map
+                       (fun r -> List.map (sarif_result r) r.findings)
+                       reports) );
+              ];
+          ] );
+    ]

@@ -77,9 +77,9 @@ val pp_report : report Fmt.t
 val pp_verdict : report Fmt.t
 (** One-line verdict: ["race-free"] or ["N candidate races (M mixed)"]. *)
 
-val to_json : report -> string
+val to_json : report -> Tmx_json.t
 
-val sarif_of_reports : report list -> string
+val sarif_of_reports : report list -> Tmx_json.t
 (** A SARIF 2.1.0 log with one run and one result per finding, across
     all the given reports — what `tmx lint --sarif` emits so findings
     can annotate PRs.  Program name and access path land in logical

@@ -81,8 +81,8 @@ val check :
     single edit reintroduces a race. *)
 
 val pp : t Fmt.t
-val to_json : model:Tmx_core.Model.t -> goal:goal -> t -> string
+val to_json : model:Tmx_core.Model.t -> goal:goal -> t -> Tmx_json.t
 
-val error_to_json : program:Tmx_lang.Ast.program -> string -> string
-(** A well-formed JSON entry for a failed synthesis (error messages may
-    carry UTF-8, which [%S] would mangle). *)
+val error_to_json : program:Tmx_lang.Ast.program -> string -> Tmx_json.t
+(** The [tmx repair --json] entry for a failed synthesis:
+    [{"program", "error"}]. *)

@@ -237,69 +237,50 @@ let pp_report ppf (r : report) =
       Fmt.(list ~sep:cut pp_failure)
       r.failures
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let failure_to_json (f : failure) =
-  let prog p = Fmt.str "\"%s\"" (json_escape (Tmx_litmus.Export.program_to_string p)) in
-  Fmt.str
-    "{\"oracle\": \"%s\", \"origin\": \"%s\", \"detail\": \"%s\", \
-     \"program\": %s, \"minimized\": %s, \"shrink_steps\": %d, \
-     \"minimized_statements\": %s, \"saved\": %s}"
-    (json_escape f.oracle) (json_escape f.origin) (json_escape f.detail)
-    (prog f.program)
-    (match f.minimized with Some m -> prog m | None -> "null")
-    f.shrink_steps
-    (match f.minimized with
-    | Some m -> string_of_int (Shrink.size m)
-    | None -> "null")
-    (match f.saved with
-    | Some path -> Fmt.str "\"%s\"" (json_escape path)
-    | None -> "null")
+  let prog p = Tmx_json.str (Tmx_litmus.Export.program_to_string p) in
+  let opt conv = function Some x -> conv x | None -> Tmx_json.Null in
+  Tmx_json.Obj
+    [
+      ("oracle", Tmx_json.str f.oracle);
+      ("origin", Tmx_json.str f.origin);
+      ("detail", Tmx_json.str f.detail);
+      ("program", prog f.program);
+      ("minimized", opt prog f.minimized);
+      ("shrink_steps", Tmx_json.int f.shrink_steps);
+      ( "minimized_statements",
+        opt (fun m -> Tmx_json.int (Shrink.size m)) f.minimized );
+      ("saved", opt Tmx_json.str f.saved);
+    ]
 
 let report_to_json (r : report) =
-  Fmt.str
-    "{\n\
-     \  \"experiment\": \"differential_fuzz\",\n\
-     \  \"seed\": %d,\n\
-     \  \"jobs\": %d,\n\
-     \  \"generated\": %d,\n\
-     \  \"corpus_replayed\": %d,\n\
-     \  \"crashes_replayed\": %d,\n\
-     \  \"corpus_skipped\": %d,\n\
-     \  \"corpus_deduped\": %d,\n\
-     \  \"skipped_files\": [%s],\n\
-     \  \"checks\": %d,\n\
-     \  \"oracles\": [%s],\n\
-     \  \"failures\": [%s],\n\
-     \  \"elapsed_s\": %.3f,\n\
-     \  \"budget_exhausted\": %b,\n\
-     \  \"ok\": %b\n\
-     }"
-    r.seed r.jobs r.generated r.corpus_replayed r.crashes_replayed
-    r.corpus_skipped r.corpus_deduped
-    (String.concat ", "
-       (List.map
-          (fun (file, msg) ->
-            Fmt.str "{\"file\": \"%s\", \"error\": \"%s\"}" (json_escape file)
-              (json_escape msg))
-          r.skipped_files))
-    r.checks
-    (String.concat ", "
-       (List.map
-          (fun (o, n) -> Fmt.str "{\"name\": \"%s\", \"programs\": %d}" (json_escape o) n)
-          r.per_oracle))
-    (String.concat ",\n    " (List.map failure_to_json r.failures))
-    r.elapsed r.budget_exhausted (ok r)
+  Tmx_json.Obj
+    [
+      ("experiment", Tmx_json.str "differential_fuzz");
+      ("seed", Tmx_json.int r.seed);
+      ("jobs", Tmx_json.int r.jobs);
+      ("generated", Tmx_json.int r.generated);
+      ("corpus_replayed", Tmx_json.int r.corpus_replayed);
+      ("crashes_replayed", Tmx_json.int r.crashes_replayed);
+      ("corpus_skipped", Tmx_json.int r.corpus_skipped);
+      ("corpus_deduped", Tmx_json.int r.corpus_deduped);
+      ( "skipped_files",
+        Tmx_json.Arr
+          (List.map
+             (fun (file, msg) ->
+               Tmx_json.Obj
+                 [ ("file", Tmx_json.str file); ("error", Tmx_json.str msg) ])
+             r.skipped_files) );
+      ("checks", Tmx_json.int r.checks);
+      ( "oracles",
+        Tmx_json.Arr
+          (List.map
+             (fun (o, n) ->
+               Tmx_json.Obj
+                 [ ("name", Tmx_json.str o); ("programs", Tmx_json.int n) ])
+             r.per_oracle) );
+      ("failures", Tmx_json.Arr (List.map failure_to_json r.failures));
+      ("elapsed_s", Tmx_json.Num (Float.round (r.elapsed *. 1000.) /. 1000.));
+      ("budget_exhausted", Tmx_json.bool r.budget_exhausted);
+      ("ok", Tmx_json.bool (ok r));
+    ]

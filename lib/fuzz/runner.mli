@@ -77,4 +77,4 @@ val minimize_program :
     --minimize FILE]).  [Error] when the oracle passes on the input. *)
 
 val pp_report : report Fmt.t
-val report_to_json : report -> string
+val report_to_json : report -> Tmx_json.t

@@ -53,10 +53,10 @@ let compute ~config model program =
 
 let format_version = "tmx-cache-1"
 
-let json_of_rat r = Json.str (Rat.to_string r)
+let json_of_rat r = Tmx_json.str (Rat.to_string r)
 
 let rat_of_json j =
-  match Json.to_str j with
+  match Tmx_json.to_str j with
   | None -> None
   | Some s -> (
       match String.index_opt s '/' with
@@ -71,25 +71,25 @@ let rat_of_json j =
           | _ -> None))
 
 let json_of_event (e : Action.event) =
-  let t = Json.int e.thread in
+  let t = Tmx_json.int e.thread in
   match e.act with
   | Action.Write { loc; value; ts } ->
-      Json.Arr [ t; Json.str "W"; Json.str loc; Json.int value; json_of_rat ts ]
+      Tmx_json.(Arr [ t; str "W"; str loc; int value; json_of_rat ts ])
   | Action.Read { loc; value; ts } ->
-      Json.Arr [ t; Json.str "R"; Json.str loc; Json.int value; json_of_rat ts ]
-  | Action.Begin -> Json.Arr [ t; Json.str "B" ]
-  | Action.Commit -> Json.Arr [ t; Json.str "C" ]
-  | Action.Abort -> Json.Arr [ t; Json.str "A" ]
-  | Action.Qfence loc -> Json.Arr [ t; Json.str "Q"; Json.str loc ]
+      Tmx_json.(Arr [ t; str "R"; str loc; int value; json_of_rat ts ])
+  | Action.Begin -> Tmx_json.Arr [ t; Tmx_json.str "B" ]
+  | Action.Commit -> Tmx_json.Arr [ t; Tmx_json.str "C" ]
+  | Action.Abort -> Tmx_json.Arr [ t; Tmx_json.str "A" ]
+  | Action.Qfence loc -> Tmx_json.Arr [ t; Tmx_json.str "Q"; Tmx_json.str loc ]
 
 exception Malformed
 
 let get = function Some v -> v | None -> raise Malformed
 
 let event_of_json j : Action.event =
-  match Json.to_list j with
-  | Some (t :: Json.Str tag :: rest) -> (
-      let thread = get (Json.to_int t) in
+  match Tmx_json.to_list j with
+  | Some (t :: Tmx_json.Str tag :: rest) -> (
+      let thread = get (Tmx_json.to_int t) in
       match (tag, rest) with
       | "W", [ loc; value; ts ] ->
           {
@@ -97,8 +97,8 @@ let event_of_json j : Action.event =
             act =
               Action.Write
                 {
-                  loc = get (Json.to_str loc);
-                  value = get (Json.to_int value);
+                  loc = get (Tmx_json.to_str loc);
+                  value = get (Tmx_json.to_int value);
                   ts = get (rat_of_json ts);
                 };
           }
@@ -108,33 +108,35 @@ let event_of_json j : Action.event =
             act =
               Action.Read
                 {
-                  loc = get (Json.to_str loc);
-                  value = get (Json.to_int value);
+                  loc = get (Tmx_json.to_str loc);
+                  value = get (Tmx_json.to_int value);
                   ts = get (rat_of_json ts);
                 };
           }
       | "B", [] -> { thread; act = Action.Begin }
       | "C", [] -> { thread; act = Action.Commit }
       | "A", [] -> { thread; act = Action.Abort }
-      | "Q", [ loc ] -> { thread; act = Action.Qfence (get (Json.to_str loc)) }
+      | "Q", [ loc ] ->
+          { thread; act = Action.Qfence (get (Tmx_json.to_str loc)) }
       | _ -> raise Malformed)
   | _ -> raise Malformed
 
 let json_of_bindings bs =
-  Json.Arr (List.map (fun (k, v) -> Json.Arr [ Json.str k; Json.int v ]) bs)
+  Tmx_json.(Arr (List.map (fun (k, v) -> Arr [ str k; int v ]) bs))
 
 let bindings_of_json j =
   List.map
     (fun pair ->
-      match Json.to_list pair with
-      | Some [ k; v ] -> (get (Json.to_str k), get (Json.to_int v))
+      match Tmx_json.to_list pair with
+      | Some [ k; v ] -> (get (Tmx_json.to_str k), get (Tmx_json.to_int v))
       | _ -> raise Malformed)
-    (get (Json.to_list j))
+    (get (Tmx_json.to_list j))
 
 let json_of_outcome (o : Outcome.t) =
-  Json.Obj
+  Tmx_json.Obj
     [
-      ("regs", Json.Arr (Array.to_list (Array.map json_of_bindings o.regs)));
+      ( "regs",
+        Tmx_json.Arr (Array.to_list (Array.map json_of_bindings o.regs)) );
       ("mem", json_of_bindings o.mem);
     ]
 
@@ -142,69 +144,72 @@ let outcome_of_json j : Outcome.t =
   {
     regs =
       Array.of_list
-        (List.map bindings_of_json (get (Json.to_list (get (Json.mem "regs" j)))));
-    mem = bindings_of_json (get (Json.mem "mem" j));
+        (List.map bindings_of_json
+           (get (Tmx_json.to_list (get (Tmx_json.mem "regs" j)))));
+    mem = bindings_of_json (get (Tmx_json.mem "mem" j));
   }
 
 let json_of_execution (e : Enumerate.execution) races mixed =
-  Json.Obj
+  Tmx_json.Obj
     [
       ( "locs",
-        Json.Arr (List.map (fun l -> Json.str l) (Trace.locs e.trace)) );
+        Tmx_json.Arr (List.map Tmx_json.str (Trace.locs e.trace)) );
       ( "events",
-        Json.Arr
+        Tmx_json.Arr
           (Array.to_list (Array.map json_of_event (Trace.events e.trace))) );
       ("outcome", json_of_outcome e.outcome);
       ( "races",
-        Json.Arr
-          (List.map (fun (a, b) -> Json.Arr [ Json.int a; Json.int b ]) races)
-      );
-      ("mixed", Json.bool mixed);
+        Tmx_json.Arr
+          (List.map
+             (fun (a, b) -> Tmx_json.Arr [ Tmx_json.int a; Tmx_json.int b ])
+             races) );
+      ("mixed", Tmx_json.bool mixed);
     ]
 
 let execution_of_json j =
   let locs =
     List.map
-      (fun l -> get (Json.to_str l))
-      (get (Json.to_list (get (Json.mem "locs" j))))
+      (fun l -> get (Tmx_json.to_str l))
+      (get (Tmx_json.to_list (get (Tmx_json.mem "locs" j))))
   in
   let events =
-    List.map event_of_json (get (Json.to_list (get (Json.mem "events" j))))
+    List.map event_of_json
+      (get (Tmx_json.to_list (get (Tmx_json.mem "events" j))))
   in
   (* [Trace.events] includes the WF1 initializing transaction, so the
      raw [of_events] rebuilds the trace exactly *)
   let trace = Trace.of_events ~locs events in
-  let outcome = outcome_of_json (get (Json.mem "outcome" j)) in
+  let outcome = outcome_of_json (get (Tmx_json.mem "outcome" j)) in
   let races =
     List.map
       (fun pair ->
-        match Json.to_list pair with
-        | Some [ a; b ] -> (get (Json.to_int a), get (Json.to_int b))
+        match Tmx_json.to_list pair with
+        | Some [ a; b ] -> (get (Tmx_json.to_int a), get (Tmx_json.to_int b))
         | _ -> raise Malformed)
-      (get (Json.to_list (get (Json.mem "races" j))))
+      (get (Tmx_json.to_list (get (Tmx_json.mem "races" j))))
   in
-  let mixed = get (Json.to_bool (get (Json.mem "mixed" j))) in
+  let mixed = get (Tmx_json.to_bool (get (Tmx_json.mem "mixed" j))) in
   ((({ trace; outcome } : Enumerate.execution), races), mixed)
 
 let json_of_verdict ~version ~model_name ~config_key v =
-  Json.Obj
+  Tmx_json.Obj
     [
-      ("format", Json.str version);
-      ("model", Json.str model_name);
-      ("config", Json.str config_key);
-      ("truncated", Json.bool v.result.truncated);
-      ("capped", Json.bool v.result.capped);
-      ("graphs", Json.int v.result.graphs);
-      ("explored", Json.int v.result.explored);
+      ("format", Tmx_json.str version);
+      ("model", Tmx_json.str model_name);
+      ("config", Tmx_json.str config_key);
+      ("truncated", Tmx_json.bool v.result.truncated);
+      ("capped", Tmx_json.bool v.result.capped);
+      ("graphs", Tmx_json.int v.result.graphs);
+      ("explored", Tmx_json.int v.result.explored);
       ( "lint",
-        Json.Obj
+        Tmx_json.Obj
           [
-            ("race_free", Json.bool v.lint_race_free);
-            ("findings", Json.int v.lint_findings);
-            ("mixed", Json.int v.lint_mixed);
+            ("race_free", Tmx_json.bool v.lint_race_free);
+            ("findings", Tmx_json.int v.lint_findings);
+            ("mixed", Tmx_json.int v.lint_mixed);
           ] );
       ( "executions",
-        Json.Arr
+        Tmx_json.Arr
           (List.mapi
              (fun i e -> json_of_execution e v.races.(i) v.mixed.(i))
              v.result.executions) );
@@ -212,28 +217,30 @@ let json_of_verdict ~version ~model_name ~config_key v =
 
 let verdict_of_json j =
   let parsed =
-    List.map execution_of_json (get (Json.to_list (get (Json.mem "executions" j))))
+    List.map execution_of_json
+      (get (Tmx_json.to_list (get (Tmx_json.mem "executions" j))))
   in
-  let lint = get (Json.mem "lint" j) in
+  let lint = get (Tmx_json.mem "lint" j) in
   {
     result =
       {
         executions = List.map (fun ((e, _), _) -> e) parsed;
-        truncated = get (Json.to_bool (get (Json.mem "truncated" j)));
-        capped = get (Json.to_bool (get (Json.mem "capped" j)));
-        graphs = get (Json.to_int (get (Json.mem "graphs" j)));
+        truncated = get (Tmx_json.to_bool (get (Tmx_json.mem "truncated" j)));
+        capped = get (Tmx_json.to_bool (get (Tmx_json.mem "capped" j)));
+        graphs = get (Tmx_json.to_int (get (Tmx_json.mem "graphs" j)));
         (* absent in pre-reduction cache files: those were written by
            the unreduced enumerator, where explored = graphs *)
         explored =
-          (match Json.mem "explored" j with
-          | Some x -> get (Json.to_int x)
-          | None -> get (Json.to_int (get (Json.mem "graphs" j))));
+          (match Tmx_json.mem "explored" j with
+          | Some x -> get (Tmx_json.to_int x)
+          | None -> get (Tmx_json.to_int (get (Tmx_json.mem "graphs" j))));
       };
     races = Array.of_list (List.map (fun ((_, r), _) -> r) parsed);
     mixed = Array.of_list (List.map (fun (_, m) -> m) parsed);
-    lint_race_free = get (Json.to_bool (get (Json.mem "race_free" lint)));
-    lint_findings = get (Json.to_int (get (Json.mem "findings" lint)));
-    lint_mixed = get (Json.to_int (get (Json.mem "mixed" lint)));
+    lint_race_free =
+      get (Tmx_json.to_bool (get (Tmx_json.mem "race_free" lint)));
+    lint_findings = get (Tmx_json.to_int (get (Tmx_json.mem "findings" lint)));
+    lint_mixed = get (Tmx_json.to_int (get (Tmx_json.mem "mixed" lint)));
   }
 
 (* -- the store -------------------------------------------------------------- *)
@@ -379,11 +386,11 @@ let load_file path =
 let load_disk t path =
   if not (Sys.file_exists path) then `Absent
   else
-    match Json.of_string (load_file path) with
+    match Tmx_json.of_string (load_file path) with
     | exception _ -> `Corrupt
     | Error _ -> `Corrupt
     | Ok j -> (
-        match Json.to_str (Option.value ~default:Json.Null (Json.mem "format" j)) with
+        match Option.bind (Tmx_json.mem "format" j) Tmx_json.to_str with
         | Some v when v = t.version -> (
             match verdict_of_json j with
             | v -> `Found v
@@ -429,7 +436,7 @@ let store t ~config model program v =
   let s = shard_of_key t k in
   let path = entry_path t k in
   let body =
-    Json.to_string
+    Tmx_json.to_string
       (json_of_verdict ~version:t.version
          ~model_name:model.Model.name
          ~config_key:(Enumerate.config_key config)
@@ -518,11 +525,11 @@ let entry_files dir =
     List.concat_map entries_in (dir :: shard_dirs) |> List.sort String.compare
 
 let classify ~version path =
-  match Json.of_string (load_file path) with
+  match Tmx_json.of_string (load_file path) with
   | exception _ -> `Corrupt
   | Error _ -> `Corrupt
   | Ok j -> (
-      match Json.to_str (Option.value ~default:Json.Null (Json.mem "format" j)) with
+      match Option.bind (Tmx_json.mem "format" j) Tmx_json.to_str with
       | Some v when v = version -> (
           match verdict_of_json j with
           | _ -> `Current

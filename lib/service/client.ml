@@ -127,7 +127,7 @@ let read_line c =
   go ()
 
 let roundtrip_raw c req =
-  match write_all c.fd (Json.to_string req ^ "\n") with
+  match write_all c.fd (Tmx_json.to_string req ^ "\n") with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | () -> read_line c
 
@@ -135,7 +135,7 @@ let roundtrip c req =
   match roundtrip_raw c req with
   | Error e -> Error e
   | Ok line -> (
-      match Json.of_string line with
+      match Tmx_json.of_string line with
       | Ok j -> Ok j
       | Error e -> Error (Printf.sprintf "bad response: %s" e))
 

@@ -27,14 +27,15 @@ val connect : ?wait_s:float -> addr -> (conn, string) result
 
 val close : conn -> unit
 
-val roundtrip : conn -> Json.t -> (Json.t, string) result
+val roundtrip : conn -> Tmx_json.t -> (Tmx_json.t, string) result
 (** Send one request, read its response line. *)
 
-val roundtrip_raw : conn -> Json.t -> (string, string) result
+val roundtrip_raw : conn -> Tmx_json.t -> (string, string) result
 (** As {!roundtrip} but returns the raw response line unparsed — the
     loadgen byte-identity oracle compares these verbatim. *)
 
-val request : ?wait_s:float -> addr:addr -> Json.t -> (Json.t, string) result
+val request :
+  ?wait_s:float -> addr:addr -> Tmx_json.t -> (Tmx_json.t, string) result
 (** One-shot: connect, {!roundtrip}, close.  Within the [wait_s]
     budget a dead peer mid-roundtrip (the connect raced a server
     shutting down: accepted from the old listener's backlog, then

@@ -144,7 +144,7 @@ let request cfg ~cum ~targets i =
     | By_source s -> (None, Some s)
   in
   {
-    Protocol.id = Some (Json.int i);
+    Protocol.id = Some (Tmx_json.int i);
     verb;
     name;
     program;
@@ -246,9 +246,8 @@ let worker cfg ~addr ~cum ~targets ~t_start ~t_end d =
             let lat = now_ns () - t0 in
             let shed = Protocol.response_overloaded resp in
             let hit =
-              match Option.bind (Json.mem "cached" resp) Json.to_bool with
-              | Some true -> true
-              | _ -> false
+              Option.bind (Tmx_json.mem "cached" resp) Tmx_json.to_bool
+              = Some true
             in
             samples :=
               {
@@ -309,20 +308,20 @@ let run ?(config = default_config) addr =
   }
 
 let report_to_json r =
-  Json.Obj
+  Tmx_json.Obj
     [
-      ("requests", Json.int r.requests_sent);
-      ("ok", Json.int r.ok);
-      ("errors", Json.int r.errors);
-      ("sheds", Json.int r.sheds);
-      ("hits", Json.int r.hits);
-      ("duration_s", Json.Num r.duration_s);
-      ("throughput_rps", Json.Num r.throughput_rps);
-      ("p50_ms", Json.Num r.p50_ms);
-      ("p95_ms", Json.Num r.p95_ms);
-      ("p99_ms", Json.Num r.p99_ms);
-      ("hit_rate", Json.Num r.hit_rate);
-      ("shed_rate", Json.Num r.shed_rate);
+      ("requests", Tmx_json.int r.requests_sent);
+      ("ok", Tmx_json.int r.ok);
+      ("errors", Tmx_json.int r.errors);
+      ("sheds", Tmx_json.int r.sheds);
+      ("hits", Tmx_json.int r.hits);
+      ("duration_s", Tmx_json.Num r.duration_s);
+      ("throughput_rps", Tmx_json.Num r.throughput_rps);
+      ("p50_ms", Tmx_json.Num r.p50_ms);
+      ("p95_ms", Tmx_json.Num r.p95_ms);
+      ("p99_ms", Tmx_json.Num r.p99_ms);
+      ("hit_rate", Tmx_json.Num r.hit_rate);
+      ("shed_rate", Tmx_json.Num r.shed_rate);
     ]
 
 (* -- the byte-identity oracle ----------------------------------------------- *)

@@ -79,7 +79,7 @@ val run : ?config:config -> Client.addr -> report
 (** The measured phase: [concurrency] domains replay their slices of
     the stream until the duration (or request count) runs out. *)
 
-val report_to_json : report -> Json.t
+val report_to_json : report -> Tmx_json.t
 
 type mismatch = { index : int; line_a : string; line_b : string }
 

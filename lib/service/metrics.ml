@@ -111,32 +111,34 @@ let snapshot t =
   snap
 
 let histogram_to_json h =
-  Json.Obj
+  Tmx_json.Obj
     [
-      ("bounds", Json.Arr (Array.to_list (Array.map Json.int h.bounds)));
-      ("counts", Json.Arr (Array.to_list (Array.map Json.int h.counts)));
+      ( "bounds",
+        Tmx_json.Arr (Array.to_list (Array.map Tmx_json.int h.bounds)) );
+      ( "counts",
+        Tmx_json.Arr (Array.to_list (Array.map Tmx_json.int h.counts)) );
     ]
 
 let snapshot_to_json s =
-  Json.Obj
+  Tmx_json.Obj
     [
-      ("requests", Json.int s.total_requests);
-      ("errors", Json.int s.total_errors);
-      ("deadlines_exceeded", Json.int s.deadlines_exceeded);
-      ("sheds", Json.int s.sheds);
-      ("queue_depth", Json.int s.queue_depth);
+      ("requests", Tmx_json.int s.total_requests);
+      ("errors", Tmx_json.int s.total_errors);
+      ("deadlines_exceeded", Tmx_json.int s.deadlines_exceeded);
+      ("sheds", Tmx_json.int s.sheds);
+      ("queue_depth", Tmx_json.int s.queue_depth);
       ( "verbs",
-        Json.Obj
+        Tmx_json.Obj
           (List.filter_map
              (fun (v, (st : verb_stats)) ->
                if st.requests = 0 then None
                else
                  Some
                    ( v,
-                     Json.Obj
+                     Tmx_json.Obj
                        [
-                         ("requests", Json.int st.requests);
-                         ("errors", Json.int st.errors);
+                         ("requests", Tmx_json.int st.requests);
+                         ("errors", Tmx_json.int st.errors);
                          ("latency_ns", histogram_to_json st.latency_ns);
                        ] ))
              s.per_verb) );

@@ -37,4 +37,4 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val snapshot_to_json : snapshot -> Json.t
+val snapshot_to_json : snapshot -> Tmx_json.t

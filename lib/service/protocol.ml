@@ -1,7 +1,7 @@
 (* NDJSON request/response framing for tmx serve. *)
 
 type request = {
-  id : Json.t option;
+  id : Tmx_json.t option;
   verb : string;
   name : string option;
   program : string option;
@@ -11,15 +11,15 @@ type request = {
 }
 
 let rec request_of_json j =
-  match Json.mem "verb" j with
+  match Tmx_json.mem "verb" j with
   | None -> Error "request has no \"verb\""
   | Some verb -> (
-      match Json.to_str verb with
+      match Tmx_json.to_str verb with
       | None -> Error "\"verb\" must be a string"
       | Some verb -> (
-          let str_field k = Option.bind (Json.mem k j) Json.to_str in
+          let str_field k = Option.bind (Tmx_json.mem k j) Tmx_json.to_str in
           let subrequests =
-            match Option.bind (Json.mem "requests" j) Json.to_list with
+            match Option.bind (Tmx_json.mem "requests" j) Tmx_json.to_list with
             | None -> Ok []
             | Some subs ->
                 List.fold_left
@@ -34,18 +34,18 @@ let rec request_of_json j =
           | Ok subrequests ->
               Ok
                 {
-                  id = Json.mem "id" j;
+                  id = Tmx_json.mem "id" j;
                   verb;
                   name = str_field "name";
                   program = str_field "program";
                   model = Option.value ~default:"pm" (str_field "model");
                   deadline_ms =
-                    Option.bind (Json.mem "deadline_ms" j) Json.to_int;
+                    Option.bind (Tmx_json.mem "deadline_ms" j) Tmx_json.to_int;
                   subrequests;
                 }))
 
 let of_line line =
-  match Json.of_string line with
+  match Tmx_json.of_string line with
   | Error e -> Error (Printf.sprintf "bad JSON: %s" e)
   | Ok j -> request_of_json j
 
@@ -54,40 +54,44 @@ let rec to_json r =
     List.filter_map Fun.id
       [
         Option.map (fun id -> ("id", id)) r.id;
-        Some ("verb", Json.str r.verb);
-        Option.map (fun n -> ("name", Json.str n)) r.name;
-        Option.map (fun p -> ("program", Json.str p)) r.program;
-        (if r.model = "pm" then None else Some ("model", Json.str r.model));
-        Option.map (fun d -> ("deadline_ms", Json.int d)) r.deadline_ms;
+        Some ("verb", Tmx_json.str r.verb);
+        Option.map (fun n -> ("name", Tmx_json.str n)) r.name;
+        Option.map (fun p -> ("program", Tmx_json.str p)) r.program;
+        (if r.model = "pm" then None else Some ("model", Tmx_json.str r.model));
+        Option.map (fun d -> ("deadline_ms", Tmx_json.int d)) r.deadline_ms;
         (match r.subrequests with
         | [] -> None
-        | subs -> Some ("requests", Json.Arr (List.map to_json subs)));
+        | subs -> Some ("requests", Tmx_json.Arr (List.map to_json subs)));
       ]
   in
-  Json.Obj fields
+  Tmx_json.Obj fields
 
 let base ?id ~verb ok_ =
   List.filter_map Fun.id
     [
-      Some ("ok", Json.bool ok_);
-      Some ("verb", Json.str verb);
+      Some ("ok", Tmx_json.bool ok_);
+      Some ("verb", Tmx_json.str verb);
       Option.map (fun id -> ("id", id)) id;
     ]
 
-let ok ?id ~verb fields = Json.Obj (base ?id ~verb true @ fields)
-let error ?id ~verb msg = Json.Obj (base ?id ~verb false @ [ ("error", Json.str msg) ])
+let ok ?id ~verb fields = Tmx_json.Obj (base ?id ~verb true @ fields)
+let error ?id ~verb msg =
+  Tmx_json.Obj (base ?id ~verb false @ [ ("error", Tmx_json.str msg) ])
 
 let overloaded ?id ~verb () =
-  Json.Obj
+  Tmx_json.Obj
     (base ?id ~verb false
-    @ [ ("error", Json.str "overloaded"); ("overloaded", Json.bool true) ])
+    @ [
+        ("error", Tmx_json.str "overloaded");
+        ("overloaded", Tmx_json.bool true);
+      ])
 
 let response_overloaded j =
-  match Option.bind (Json.mem "overloaded" j) Json.to_bool with
+  match Option.bind (Tmx_json.mem "overloaded" j) Tmx_json.to_bool with
   | Some b -> b
   | None -> false
 
 let response_ok j =
-  match Option.bind (Json.mem "ok" j) Json.to_bool with
+  match Option.bind (Tmx_json.mem "ok" j) Tmx_json.to_bool with
   | Some b -> b
   | None -> false

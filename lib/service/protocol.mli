@@ -12,7 +12,7 @@
     when one was given, and on failure ["error"]. *)
 
 type request = {
-  id : Json.t option;
+  id : Tmx_json.t option;
   verb : string;
   name : string option;
   program : string option;
@@ -23,19 +23,20 @@ type request = {
 
 val of_line : string -> (request, string) result
 
-val to_json : request -> Json.t
+val to_json : request -> Tmx_json.t
 (** The client-side encoder; [of_line (to_string (to_json r)) = Ok r]. *)
 
-val ok : ?id:Json.t -> verb:string -> (string * Json.t) list -> Json.t
-val error : ?id:Json.t -> verb:string -> string -> Json.t
+val ok :
+  ?id:Tmx_json.t -> verb:string -> (string * Tmx_json.t) list -> Tmx_json.t
+val error : ?id:Tmx_json.t -> verb:string -> string -> Tmx_json.t
 
-val overloaded : ?id:Json.t -> verb:string -> unit -> Json.t
+val overloaded : ?id:Tmx_json.t -> verb:string -> unit -> Tmx_json.t
 (** The structured shed response: [ok = false], [error = "overloaded"],
     and a distinguishing ["overloaded": true] field so clients can
     retry-with-backoff instead of treating it as a hard failure. *)
 
-val response_ok : Json.t -> bool
+val response_ok : Tmx_json.t -> bool
 (** The ["ok"] field of a response (false when absent). *)
 
-val response_overloaded : Json.t -> bool
+val response_overloaded : Tmx_json.t -> bool
 (** Was this response a shed (["overloaded"] field, false when absent)? *)

@@ -198,9 +198,9 @@ let with_target (req : Protocol.request) f =
 
 let result_fields (r : Enumerate.result) =
   [
-    ("truncated", Json.bool r.truncated);
-    ("capped", Json.bool r.capped);
-    ("graphs", Json.int r.graphs);
+    ("truncated", Tmx_json.bool r.truncated);
+    ("capped", Tmx_json.bool r.capped);
+    ("graphs", Tmx_json.int r.graphs);
   ]
 
 let handle_outcomes t (req : Protocol.request) =
@@ -209,12 +209,13 @@ let handle_outcomes t (req : Protocol.request) =
       let outcomes = Enumerate.outcomes v.result in
       Protocol.ok ?id:req.id ~verb:req.verb
         ([
-           ("cached", Json.bool (hit = `Hit));
-           ("count", Json.int (List.length outcomes));
+           ("cached", Tmx_json.bool (hit = `Hit));
+           ("count", Tmx_json.int (List.length outcomes));
            ( "outcomes",
-             Json.Arr
-               (List.map (fun o -> Json.str (Fmt.str "%a" Outcome.pp o)) outcomes)
-           );
+             Tmx_json.Arr
+               (List.map
+                  (fun o -> Tmx_json.str (Fmt.str "%a" Outcome.pp o))
+                  outcomes) );
          ]
         @ result_fields v.result))
 
@@ -225,10 +226,10 @@ let handle_races t (req : Protocol.request) =
       let mixed = Array.fold_left (fun n m -> if m then n + 1 else n) 0 v.mixed in
       Protocol.ok ?id:req.id ~verb:req.verb
         ([
-           ("cached", Json.bool (hit = `Hit));
-           ("executions", Json.int (List.length v.result.executions));
-           ("racy", Json.int racy);
-           ("mixed", Json.int mixed);
+           ("cached", Tmx_json.bool (hit = `Hit));
+           ("executions", Tmx_json.int (List.length v.result.executions));
+           ("racy", Tmx_json.int racy);
+           ("mixed", Tmx_json.int mixed);
          ]
         @ result_fields v.result))
 
@@ -257,18 +258,13 @@ let handle_lint t (req : Protocol.request) =
               List.length report.findings,
               Tmx_analysis.Lint.mixed_count report )
       in
-      let report_json =
-        match Json.of_string (Tmx_analysis.Lint.to_json report) with
-        | Ok j -> j
-        | Error _ -> Json.Null
-      in
       Protocol.ok ?id:req.id ~verb:req.verb
         [
-          ("cached", Json.bool (cached_counts <> None));
-          ("race_free", Json.bool race_free);
-          ("findings", Json.int findings);
-          ("mixed", Json.int mixed);
-          ("report", report_json);
+          ("cached", Tmx_json.bool (cached_counts <> None));
+          ("race_free", Tmx_json.bool race_free);
+          ("findings", Tmx_json.int findings);
+          ("mixed", Tmx_json.int mixed);
+          ("report", Tmx_analysis.Lint.to_json report);
         ]
 
 let handle_check t (req : Protocol.request) =
@@ -282,25 +278,27 @@ let handle_check t (req : Protocol.request) =
       let report = Litmus.run ~config:t.cfg.enum ~enumerate litmus in
       Protocol.ok ?id:req.id ~verb:req.verb
         [
-          ("cached", Json.bool (!misses = 0));
-          ("passed", Json.bool (Litmus.passed report));
+          ("cached", Tmx_json.bool (!misses = 0));
+          ("passed", Tmx_json.bool (Litmus.passed report));
           ( "results",
-            Json.Arr
+            Tmx_json.Arr
               (List.map
                  (fun (r : Litmus.check_result) ->
-                   Json.Obj
+                   Tmx_json.Obj
                      [
                        ( "model",
-                         Json.str (Litmus.model_of_check r.check).Model.name );
-                       ("descr", Json.str (Litmus.descr_of_check r.check));
-                       ("ok", Json.bool r.ok);
-                       ("detail", Json.str r.detail);
+                         Tmx_json.str
+                           (Litmus.model_of_check r.check).Model.name );
+                       ("descr", Tmx_json.str (Litmus.descr_of_check r.check));
+                       ("ok", Tmx_json.bool r.ok);
+                       ("detail", Tmx_json.str r.detail);
                      ])
                  report.results) );
-          ("truncated", Json.bool report.truncated);
-          ("capped", Json.bool report.capped);
+          ("truncated", Tmx_json.bool report.truncated);
+          ("capped", Tmx_json.bool report.capped);
           ( "static",
-            Json.str (Fmt.str "%a" Tmx_analysis.Lint.pp_verdict report.lint) );
+            Tmx_json.str
+              (Fmt.str "%a" Tmx_analysis.Lint.pp_verdict report.lint) );
         ])
 
 let handle_stats t (req : Protocol.request) =
@@ -309,15 +307,15 @@ let handle_stats t (req : Protocol.request) =
   Protocol.ok ?id:req.id ~verb:req.verb
     [
       ( "cache",
-        Json.Obj
+        Tmx_json.Obj
           [
-            ("hits", Json.int c.hits);
-            ("misses", Json.int c.misses);
-            ("stores", Json.int c.stores);
-            ("evictions", Json.int c.evictions);
-            ("load_failures", Json.int c.load_failures);
-            ("resident", Json.int (Cache.resident t.cache));
-            ("shards", Json.int (Cache.shard_count t.cache));
+            ("hits", Tmx_json.int c.hits);
+            ("misses", Tmx_json.int c.misses);
+            ("stores", Tmx_json.int c.stores);
+            ("evictions", Tmx_json.int c.evictions);
+            ("load_failures", Tmx_json.int c.load_failures);
+            ("resident", Tmx_json.int (Cache.resident t.cache));
+            ("shards", Tmx_json.int (Cache.shard_count t.cache));
           ] );
       ("metrics", Metrics.snapshot_to_json snap);
     ]
@@ -363,7 +361,7 @@ and handle_batch t ~deadline (req : Protocol.request) =
   let cached =
     Array.fold_left
       (fun n r ->
-        match Option.bind (Json.mem "cached" r) Json.to_bool with
+        match Option.bind (Tmx_json.mem "cached" r) Tmx_json.to_bool with
         | Some true -> n + 1
         | _ -> n)
       0 responses
@@ -373,10 +371,10 @@ and handle_batch t ~deadline (req : Protocol.request) =
   in
   Protocol.ok ?id:req.id ~verb:"batch"
     [
-      ("count", Json.int (Array.length responses));
-      ("ok_count", Json.int ok_count);
-      ("cached", Json.int cached);
-      ("responses", Json.Arr (Array.to_list responses));
+      ("count", Tmx_json.int (Array.length responses));
+      ("ok_count", Tmx_json.int ok_count);
+      ("cached", Tmx_json.int cached);
+      ("responses", Tmx_json.Arr (Array.to_list responses));
     ]
 
 (* verbs that must keep answering under overload: liveness probes,
@@ -497,7 +495,7 @@ let handle_conn t fd =
         (* the client may be gone by now (disconnect mid-request): the
            write fails with EPIPE (SIGPIPE is ignored) and only this
            connection dies *)
-        write_all fd (Json.to_string resp ^ "\n");
+        write_all fd (Tmx_json.to_string resp ^ "\n");
         if Atomic.get t.stop_flag then () else loop ()
   in
   (try loop () with Unix.Unix_error _ | Sys_error _ -> ());

@@ -48,3 +48,10 @@ let check_consistent model trace expected =
     (Fmt.str "consistent under %a (%a)" Model.pp model Consistency.pp_report
        report)
     expected (Consistency.ok report)
+
+(* A JSON value survives the codec: of_string (to_string j) = Ok j. *)
+let check_json_roundtrip what j =
+  match Tmx_json.of_string (Tmx_json.to_string j) with
+  | Ok j' when j' = j -> ()
+  | Ok _ -> Alcotest.failf "%s: JSON round trip changed the value" what
+  | Error e -> Alcotest.failf "%s: JSON output does not parse: %s" what e

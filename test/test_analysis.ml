@@ -307,18 +307,21 @@ let test_guard_dominance () =
   Alcotest.(check bool) "loops disable guard dominance" false
     (Lint.race_free (Lint.lint looped))
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let test_json () =
   let j = Lint.to_json (Lint.lint (find "privatization")) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json mentions " ^ needle) true
-        (contains_sub j needle))
-    [ "\"race_free\": false"; "\"class\": \"mixed\""; "\"severity\": \"low\"" ]
+  let get k j = Option.get (Tmx_json.mem k j) in
+  let list k j = Option.get (Tmx_json.to_list (get k j)) in
+  let str k j = Tmx_json.to_str (get k j) in
+  Alcotest.(check (option bool))
+    "race_free" (Some false)
+    (Tmx_json.to_bool (get "race_free" j));
+  Alcotest.(check (list (pair (option string) (option string))))
+    "location classes"
+    [ (Some "x", Some "mixed"); (Some "y", Some "tx-only") ]
+    (List.map (fun l -> (str "name" l, str "class" l)) (list "locations" j));
+  Alcotest.(check (list (option string)))
+    "finding severities" [ Some "low" ]
+    (List.map (str "severity") (list "findings" j))
 
 (* the tentpole's performance contract: no enumeration on the lint path,
    so linting the entire catalog is far under a second *)

@@ -97,6 +97,22 @@ let test_minimized_still_fails () =
     (programs Gen.mixed ~seed:1 40);
   Alcotest.(check bool) "some mixed programs generated" true (!checked > 5)
 
+(* the report survives the JSON codec, failures (multi-line programs,
+   [null] minima) included *)
+let test_report_json_roundtrip () =
+  let report =
+    Tmx_fuzz.Runner.run
+      {
+        Tmx_fuzz.Runner.default_options with
+        count = 6;
+        oracles = [ Oracle.broken ];
+        corpus_dir = None;
+        crashes_dir = None;
+      }
+  in
+  Alcotest.(check bool) "the broken oracle failed" true (report.failures <> []);
+  Tb.check_json_roundtrip "fuzz report" (Tmx_fuzz.Runner.report_to_json report)
+
 let test_stock_oracle_names () =
   Alcotest.(check (list string))
     "stock oracle names"
@@ -123,4 +139,6 @@ let suite =
     Alcotest.test_case "minimized programs still fail their oracle" `Quick
       test_minimized_still_fails;
     Alcotest.test_case "stock oracle registry" `Quick test_stock_oracle_names;
+    Alcotest.test_case "report JSON round trip" `Quick
+      test_report_json_roundtrip;
   ]

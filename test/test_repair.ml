@@ -308,6 +308,22 @@ let prop_repair_sound_random =
           | Ok () -> true
           | Error e -> QCheck.Test.fail_reportf "repair-sound violation: %s" e))
 
+(* every report the CLI prints as JSON survives the codec unchanged *)
+let test_json_roundtrip_catalog () =
+  let reports = List.map Lint.lint catalog_programs in
+  List.iter
+    (fun (r : Lint.report) ->
+      Tb.check_json_roundtrip r.program.name (Lint.to_json r))
+    reports;
+  Tb.check_json_roundtrip "sarif" (Lint.sarif_of_reports reports);
+  List.iter
+    (fun (p : Ast.program) ->
+      Tb.check_json_roundtrip p.name
+        (match Repair.run ~config im p with
+        | Ok r -> Repair.to_json ~model:im ~goal:Repair.Mixed r
+        | Error e -> Repair.error_to_json ~program:p e))
+    catalog_programs
+
 let suite =
   [
     Alcotest.test_case "patch: fence insertion" `Quick test_patch_fence;
@@ -325,6 +341,8 @@ let suite =
     Alcotest.test_case "fence fixes strictly decrease severity (catalog)" `Quick
       test_fence_fix_property_catalog;
     Tb.qcheck prop_fence_fix_random;
+    Alcotest.test_case "JSON reports round-trip (catalog)" `Quick
+      test_json_roundtrip_catalog;
   ]
 
 let oracle_suite =

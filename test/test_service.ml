@@ -78,28 +78,41 @@ let test_digest_invariance () =
 
 let test_json_roundtrip () =
   let j =
-    Json.Obj
+    Tmx_json.Obj
       [
-        ("a", Json.Arr [ Json.int 1; Json.Num 2.5; Json.Null; Json.Bool false ]);
-        ("s", Json.str "quote \" back \\ newline \n tab \t");
-        ("nested", Json.Obj [ ("k", Json.str "v") ]);
-        ("neg", Json.int (-7));
+        ("a", Tmx_json.(Arr [ int 1; Num 2.5; Null; Bool false ]));
+        ("s", Tmx_json.str "quote \" back \\ newline \n tab \t");
+        ("nested", Tmx_json.Obj [ ("k", Tmx_json.str "v") ]);
+        ("neg", Tmx_json.int (-7));
       ]
   in
-  (match Json.of_string (Json.to_string j) with
+  (match Tmx_json.of_string (Tmx_json.to_string j) with
   | Ok j' -> if j' <> j then Alcotest.fail "json round trip changed the value"
   | Error e -> Alcotest.failf "json round trip does not parse: %s" e);
   List.iter
     (fun bad ->
-      match Json.of_string bad with
+      match Tmx_json.of_string bad with
       | Ok _ -> Alcotest.failf "accepted malformed JSON %S" bad
       | Error _ -> ())
     [ "{"; "[1,"; "{\"a\":}"; "tru"; "1 2"; "\"unterminated" ]
 
+(* floats print in their shortest exact form and read back unchanged *)
+let test_json_floats () =
+  Alcotest.(check string)
+    "0.007" "0.007"
+    (Tmx_json.to_string (Tmx_json.Num 0.007));
+  List.iter
+    (fun f ->
+      let text = Tmx_json.to_string (Tmx_json.Num f) in
+      match Tmx_json.of_string text with
+      | Ok (Tmx_json.Num f') when f' = f -> ()
+      | _ -> Alcotest.failf "%h printed as %s does not read back" f text)
+    [ 0.1; 2. /. 3.; 1e-300; 123456.789; -0.5; 1e20; Float.pi; 5e-324 ]
+
 let test_protocol_roundtrip () =
   let sub =
     {
-      Protocol.id = Some (Json.int 7);
+      Protocol.id = Some (Tmx_json.int 7);
       verb = "races";
       name = Some "sb";
       program = None;
@@ -110,7 +123,7 @@ let test_protocol_roundtrip () =
   in
   let r =
     {
-      Protocol.id = Some (Json.str "batch-1");
+      Protocol.id = Some (Tmx_json.str "batch-1");
       verb = "batch";
       name = None;
       program = None;
@@ -119,7 +132,7 @@ let test_protocol_roundtrip () =
       subrequests = [ sub; { sub with id = None; model = "pm" } ];
     }
   in
-  match Protocol.of_line (Json.to_string (Protocol.to_json r)) with
+  match Protocol.of_line (Tmx_json.to_string (Protocol.to_json r)) with
   | Ok r' -> if r' <> r then Alcotest.fail "protocol round trip changed the request"
   | Error e -> Alcotest.failf "protocol round trip failed: %s" e
 
@@ -320,7 +333,7 @@ let send socket r =
   | Ok resp -> resp
   | Error e -> Alcotest.failf "request %s failed: %s" r.Protocol.verb e
 
-let field conv k resp = Option.bind (Json.mem k resp) conv
+let field conv k resp = Option.bind (Tmx_json.mem k resp) conv
 
 let test_server_end_to_end () =
   let dir = temp_dir "server" in
@@ -348,15 +361,15 @@ let test_server_end_to_end () =
       Alcotest.(check bool) "races ok" true (Protocol.response_ok r1);
       Alcotest.(check (option bool))
         "first races uncached" (Some false)
-        (field Json.to_bool "cached" r1);
+        (field Tmx_json.to_bool "cached" r1);
       let r2 = send socket (req ~name:"sb" "races") in
       Alcotest.(check (option bool))
         "second races cached" (Some true)
-        (field Json.to_bool "cached" r2);
+        (field Tmx_json.to_bool "cached" r2);
       Alcotest.(check (option int))
         "racy executions stable"
-        (field Json.to_int "racy" r1)
-        (field Json.to_int "racy" r2);
+        (field Tmx_json.to_int "racy" r1)
+        (field Tmx_json.to_int "racy" r2);
       (* a litmus source in "program" works and shares the entry of its
          catalog twin (the digest ignores the name) *)
       let src =
@@ -365,7 +378,7 @@ let test_server_end_to_end () =
       let r3 = send socket (req ~program:src "races") in
       Alcotest.(check (option bool))
         "program text hits the catalog entry" (Some true)
-        (field Json.to_bool "cached" r3);
+        (field Tmx_json.to_bool "cached" r3);
       (* unknown name and unknown verb are errors, not disconnects *)
       let bad = send socket (req ~name:"no-such-test" "outcomes") in
       Alcotest.(check bool) "unknown name rejected" false (Protocol.response_ok bad);
@@ -376,7 +389,7 @@ let test_server_end_to_end () =
       Alcotest.(check bool) "expired deadline rejected" false (Protocol.response_ok d);
       Alcotest.(check (option string))
         "deadline error text" (Some "deadline exceeded")
-        (field Json.to_str "error" d);
+        (field Tmx_json.to_str "error" d);
       (* disconnect mid-request: a partial line, then a full request the
          client never reads the answer of; both leave the server alive *)
       let abandon payload =
@@ -411,8 +424,8 @@ let test_server_end_to_end () =
         (Protocol.response_ok r4);
       Alcotest.(check (option int))
         "recomputed verdict matches"
-        (field Json.to_int "racy" r1)
-        (field Json.to_int "racy" r4);
+        (field Tmx_json.to_int "racy" r1)
+        (field Tmx_json.to_int "racy" r4);
       (* batch, twice: the second is served from the cache *)
       let names = [ "privatization"; "publication"; "lb" ] in
       let batch =
@@ -421,32 +434,32 @@ let test_server_end_to_end () =
       in
       let b1 = send socket batch in
       Alcotest.(check (option int))
-        "batch count" (Some 3) (field Json.to_int "count" b1);
+        "batch count" (Some 3) (field Tmx_json.to_int "count" b1);
       Alcotest.(check (option int))
         "batch all ok" (Some 3)
-        (field Json.to_int "ok_count" b1);
+        (field Tmx_json.to_int "ok_count" b1);
       let b2 = send socket batch in
       Alcotest.(check (option int))
         "second batch fully cached" (Some 3)
-        (field Json.to_int "cached" b2);
+        (field Tmx_json.to_int "cached" b2);
       (* stats *)
       let s = send socket (req "stats") in
-      let cache_stats = Option.get (Json.mem "cache" s) in
-      let hits = Option.get (field Json.to_int "hits" cache_stats) in
+      let cache_stats = Option.get (Tmx_json.mem "cache" s) in
+      let hits = Option.get (field Tmx_json.to_int "hits" cache_stats) in
       let load_failures =
-        Option.get (field Json.to_int "load_failures" cache_stats)
+        Option.get (field Tmx_json.to_int "load_failures" cache_stats)
       in
       Alcotest.(check bool) (Fmt.str "hits %d > 0" hits) true (hits > 0);
       Alcotest.(check bool)
         (Fmt.str "load failure %d counted" load_failures)
         true (load_failures >= 1);
-      let metrics = Option.get (Json.mem "metrics" s) in
+      let metrics = Option.get (Tmx_json.mem "metrics" s) in
       Alcotest.(check bool)
         "requests counted" true
-        (Option.get (field Json.to_int "requests" metrics) >= 10);
+        (Option.get (field Tmx_json.to_int "requests" metrics) >= 10);
       Alcotest.(check (option int))
         "deadline metric" (Some 1)
-        (field Json.to_int "deadlines_exceeded" metrics));
+        (field Tmx_json.to_int "deadlines_exceeded" metrics));
   (* stop is idempotent and removes the socket *)
   Server.stop t;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists socket)
@@ -535,10 +548,10 @@ let test_batch_survives_signals () =
         (Protocol.response_ok resp);
       Alcotest.(check (option int))
         "every sub-response arrived" (Some n)
-        (field Json.to_int "count" resp);
+        (field Tmx_json.to_int "count" resp);
       Alcotest.(check (option int))
         "all ok" (Some n)
-        (field Json.to_int "ok_count" resp))
+        (field Tmx_json.to_int "ok_count" resp))
 
 (* Thousands of pipelined request lines pushed in one write: the
    server's line splitter must hand back one response per line (the old
@@ -557,7 +570,7 @@ let test_pipelined_lines () =
       let n = 2000 in
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
-      let line = Json.to_string (Protocol.to_json (req "ping")) ^ "\n" in
+      let line = Tmx_json.to_string (Protocol.to_json (req "ping")) ^ "\n" in
       let payload = String.concat "" (List.init n (fun _ -> line)) in
       let rec wr off =
         if off < String.length payload then
@@ -589,7 +602,7 @@ let test_pipelined_lines () =
       String.split_on_char '\n' (Buffer.contents buf)
       |> List.filter (fun s -> s <> "")
       |> List.iter (fun s ->
-             match Json.of_string s with
+             match Tmx_json.of_string s with
              | Ok j ->
                  if not (Protocol.response_ok j) then
                    Alcotest.failf "error response in pipeline: %s" s
@@ -706,6 +719,28 @@ let test_addr_of_string () =
 
 (* -- TCP transport ------------------------------------------------------------ *)
 
+(* the lint verb's report is the CLI's JSON value, not a re-parse of it *)
+let test_server_lint_report () =
+  let dir = temp_dir "lint" in
+  let socket = socket_path () in
+  let t =
+    Server.start { (Server.default_config ~socket) with cache_dir = dir }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop t;
+      ignore (Cache.clear ~dir))
+    (fun () ->
+      List.iter
+        (fun name ->
+          let resp = send socket (req ~model:"im" ~name "lint") in
+          let expected =
+            Tmx_analysis.Lint.to_json (Tmx_analysis.Lint.lint (program_of name))
+          in
+          if Tmx_json.mem "report" resp <> Some expected then
+            Alcotest.failf "%s: lint report differs from Lint.to_json" name)
+        [ "privatization"; "opacity_iriw"; "iriw_z" ])
+
 let test_server_tcp () =
   let dir = temp_dir "tcp" in
   let cfg =
@@ -744,12 +779,12 @@ let test_server_tcp () =
       let r2 = send addr (req ~name:"sb" "races") in
       Alcotest.(check (option bool))
         "tcp second races cached" (Some true)
-        (field Json.to_bool "cached" r2);
+        (field Tmx_json.to_bool "cached" r2);
       let s = send addr (req "stats") in
-      let cache_stats = Option.get (Json.mem "cache" s) in
+      let cache_stats = Option.get (Tmx_json.mem "cache" s) in
       Alcotest.(check (option int))
         "stats reports the shard count" (Some 2)
-        (field Json.to_int "shards" cache_stats))
+        (field Tmx_json.to_int "shards" cache_stats))
 
 (* -- admission control -------------------------------------------------------- *)
 
@@ -786,7 +821,7 @@ let test_admission_shedding () =
           if Protocol.response_overloaded resp then sheds := resp :: !sheds
           else if not (Protocol.response_ok resp) then
             Alcotest.failf "non-shed error under load: %s"
-              (Json.to_string resp)
+              (Tmx_json.to_string resp)
         done;
         !sheds
       in
@@ -802,18 +837,19 @@ let test_admission_shedding () =
             "shed is not ok" false (Protocol.response_ok resp);
           Alcotest.(check (option string))
             "shed error text" (Some "overloaded")
-            (field Json.to_str "error" resp);
+            (field Tmx_json.to_str "error" resp);
           Alcotest.(check (option string))
             "shed echoes the verb" (Some "races")
-            (field Json.to_str "verb" resp))
+            (field Tmx_json.to_str "verb" resp))
         sheds;
       (* exempt verbs keep answering and the counter is visible *)
       let s = send socket (req "stats") in
       Alcotest.(check bool) "stats ok under load" true (Protocol.response_ok s);
-      let metrics = Option.get (Json.mem "metrics" s) in
+      let metrics = Option.get (Tmx_json.mem "metrics" s) in
       Alcotest.(check bool)
         "sheds counted in stats" true
-        (Option.get (field Json.to_int "sheds" metrics) >= List.length sheds))
+        (Option.get (field Tmx_json.to_int "sheds" metrics)
+        >= List.length sheds))
 
 (* -- loadgen ------------------------------------------------------------------ *)
 
@@ -825,7 +861,7 @@ let test_loadgen_determinism () =
     let targets = pool cfg in
     let cum = zipf_cumulative ~skew:cfg.skew (Array.length targets) in
     List.init n (fun i ->
-        Json.to_string (Protocol.to_json (request cfg ~cum ~targets i)))
+        Tmx_json.to_string (Protocol.to_json (request cfg ~cum ~targets i)))
   in
   let cfg = { default_config with generated = 4 } in
   let a = stream cfg 64 in
@@ -838,9 +874,9 @@ let test_loadgen_determinism () =
     List.sort_uniq compare
       (List.filter_map
          (fun line ->
-           Result.to_option (Json.of_string line)
-           |> Fun.flip Option.bind (Json.mem "verb")
-           |> Fun.flip Option.bind Json.to_str)
+           Result.to_option (Tmx_json.of_string line)
+           |> Fun.flip Option.bind (Tmx_json.mem "verb")
+           |> Fun.flip Option.bind Tmx_json.to_str)
          a)
   in
   Alcotest.(check bool)
@@ -923,6 +959,7 @@ let suite =
     Alcotest.test_case "canon negative literals" `Quick test_canon_negative_literal;
     Alcotest.test_case "digest invariance" `Quick test_digest_invariance;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "json shortest floats" `Quick test_json_floats;
     Alcotest.test_case "protocol round trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "cache store/find round trip" `Quick test_cache_roundtrip;
     Alcotest.test_case "cache version mismatch" `Quick test_cache_version_mismatch;
@@ -936,6 +973,7 @@ let suite =
       test_cache_shard_prefix_guard;
     Alcotest.test_case "client address parsing" `Quick test_addr_of_string;
     Alcotest.test_case "server end to end" `Quick test_server_end_to_end;
+    Alcotest.test_case "server lint report" `Quick test_server_lint_report;
     Alcotest.test_case "server tcp transport" `Quick test_server_tcp;
     Alcotest.test_case "server shutdown verb" `Quick test_server_shutdown_verb;
     Alcotest.test_case "admission shedding" `Slow test_admission_shedding;
